@@ -1,9 +1,15 @@
 #!/usr/bin/env bash
-# Protocol-invariant lint gate (generation 2).
+# Source-analyzer lint gate: the repo's single lint entry point.
 #
-# Runs tools/ddcverify — the token-aware analyzer — over the layers
-# where its three rule families have teeth:
+# Runs tools/ddcverify — the token-aware analyzer — with its four rule
+# families:
 #
+#   determinism      raw-rand, nonportable-engine, unordered-iter,
+#                    wall-clock, float-reorder: no nondeterminism hazard
+#                    may even be mentioned in the deterministic modules
+#                    (the --deterministic list below). Modules that
+#                    legitimately touch real time, sockets or hash maps
+#                    (net, io, metrics, cli, workload) stay out of it.
 #   wire-taint       src/wire, src/net, src/shard: transport-derived
 #                    bytes must flow through the bounds-checked Decoder;
 #                    raw memcpy / pointer arithmetic / reinterpret_cast
@@ -42,20 +48,20 @@ fi
 
 "$DDCVERIFY" --self-test
 
-# The scanned set: the wire/transport/shard stack (taint + hot path),
-# the compute layers with hotpath roots (sim, stats, gossip, linalg),
-# and the node binary's stats/result plumbing.
+# The deterministic modules: everything whose behaviour is a pure
+# function of (inputs, options, seed). Every rule family scans them; the
+# positional paths add the transport layer and the node binary's
+# stats/result plumbing, which are scanned for everything but
+# determinism.
+DETERMINISTIC=src/common,src/linalg,src/stats,src/core,src/summaries,src/em
+DETERMINISTIC+=,src/partition,src/exec,src/sim,src/gossip,src/wire,src/shard
+DETERMINISTIC+=,src/audit
 "$DDCVERIFY" \
+  --deterministic "$DETERMINISTIC" \
   --simd-dispatch src/linalg/include/ddc/linalg/simd.hpp,src/linalg/src/simd.cpp \
   --simd-tests tests/linalg/kernel_equivalence_test.cpp,tests/stats/score_batch_test.cpp \
-  src/wire \
   src/net \
-  src/shard \
-  src/sim \
-  src/stats \
-  src/gossip \
-  src/linalg \
   tools/ddcnode.cpp \
   tools/result_line.hpp
 
-echo "Protocol-invariant lint passed."
+echo "Source-analyzer lint passed."

@@ -28,8 +28,8 @@ struct EngineFlagSet {
 };
 
 /// Declares the shared engine flags on `flags` with the historical ddcsim
-/// defaults (overridable through `defaults` so e.g. ddcnode can default
-/// --nodes to its cluster size).
+/// defaults (overridable through `defaults`, so a binary can change
+/// e.g. the default --nodes).
 void declare_engine_flags(Flags& flags, const sim::EngineConfig& defaults = {},
                           const EngineFlagSet& set = {});
 

@@ -180,10 +180,10 @@ class GenericClassifier {
     // Audited timing probe: the clock reads feed only the
     // partition_seconds reporting counter (`ddcsim --timing`), never
     // control flow, so determinism of the classification is unaffected.
-    const auto start = std::chrono::steady_clock::now();  // ddclint: allow(wall-clock)
+    const auto start = std::chrono::steady_clock::now();  // ddcverify: allow(wall-clock)
     Grouping groups = partition_policy_.partition(flat_, options_.k);
     stats_.partition_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)  // ddclint: allow(wall-clock)
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)  // ddcverify: allow(wall-clock)
             .count();
     DDC_ENSURES(is_valid_grouping(groups, flat_.size()));
     DDC_ENSURES(groups.size() <= options_.k);

@@ -1,19 +1,19 @@
 // Bindings between protocol node Message types and the wire payload
-// codecs — the glue NetNode needs to put a node's messages on a
-// Transport. A codec type provides:
+// codecs — the glue ShardEngine needs to put a node's messages into
+// batch records. A codec type provides:
 //
 //   static std::vector<std::byte> encode(const Message&);
 //   static Message decode(std::span<const std::byte>);
 //
-// decode throws wire::DecodeError on malformed payloads; NetNode counts
-// and drops those frames instead of letting them kill the node.
+// decode throws wire::DecodeError on malformed payloads; ShardEngine
+// counts those records as decode errors and drops them instead of
+// letting them kill the shard.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include <ddc/core/collection.hpp>
-#include <ddc/gossip/push_sum.hpp>
 #include <ddc/wire/serialize.hpp>
 
 namespace ddc::net {
@@ -29,18 +29,6 @@ struct ClassificationCodec {
   }
   [[nodiscard]] static Message decode(std::span<const std::byte> payload) {
     return wire::decode_classification<Summary>(payload);
-  }
-};
-
-/// Codec for push-sum nodes.
-struct PushSumCodec {
-  using Message = gossip::PushSumMessage;
-
-  [[nodiscard]] static std::vector<std::byte> encode(const Message& message) {
-    return wire::encode_push_sum(message);
-  }
-  [[nodiscard]] static Message decode(std::span<const std::byte> payload) {
-    return wire::decode_push_sum(payload);
   }
 };
 

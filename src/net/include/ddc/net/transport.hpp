@@ -1,4 +1,4 @@
-// The message transport abstraction the networked gossip node drives.
+// The message transport abstraction the shard engine drives.
 //
 // The paper's algorithm needs only an unreliable, unordered datagram
 // service between neighbors — no routing, no connections, no delivery
@@ -7,10 +7,10 @@
 // minimal service. Two implementations ship:
 //
 //   * LoopbackTransport (loopback.hpp) — in-process, deterministic,
-//     seeded delivery order with injectable loss and delay; hosts the
-//     same node code the simulator tests exercise.
-//   * UdpTransport (udp.hpp) — non-blocking UDP sockets; one process
-//     per node, localhost or LAN.
+//     seeded delivery order with injectable loss and delay; carries
+//     ShardCluster's in-process shard exchange.
+//   * UdpTransport (udp.hpp) — non-blocking UDP sockets; one ddcnode
+//     shard process per endpoint, localhost or LAN.
 //
 // Frames are opaque byte vectors; src/wire defines their contents
 // (envelope in framing.hpp, payloads in serialize.hpp).
@@ -67,15 +67,6 @@ class Transport {
 
   /// Drains every frame that has arrived since the last call.
   [[nodiscard]] virtual std::vector<Packet> receive() = 0;
-
-  /// Liveness estimate for `to`. Loopback transports have no failure
-  /// detector and report every peer reachable; UdpTransport reports the
-  /// probe-based estimate. Advisory only — a "reachable" peer can still
-  /// drop frames.
-  [[nodiscard]] virtual bool peer_reachable(PeerId to) const {
-    (void)to;
-    return true;
-  }
 
   /// Traffic counters for the link to/from `peer`.
   [[nodiscard]] virtual const LinkStats& stats(PeerId peer) const = 0;

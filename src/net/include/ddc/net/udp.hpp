@@ -1,6 +1,6 @@
 // UDP datagram transport — the first deployable backend.
 //
-// One process per node; the cluster is a static peer table of
+// One process per shard; the cluster is a static peer table of
 // host:port pairs (sensor deployments are configured, not discovered).
 // The socket is non-blocking: send() emits or counts a failure,
 // receive() drains the kernel buffer until it is empty. Incoming
@@ -11,9 +11,11 @@
 // maintain() periodically; a peer silent for longer than
 // `probe_timeout` is probed, and after `probe_retries` unanswered
 // probes it is reported unreachable (peer_reachable() == false). Any
-// later frame from the peer revives it — the detector is a hint for
-// target selection, never a permanent eviction, matching the paper's
-// crash-recovery-free but silence-tolerant model.
+// later frame from the peer revives it — the detector is a hint
+// (ddcnode --stats-json reports it), never a permanent eviction,
+// matching the paper's crash-recovery-free but silence-tolerant model.
+// The probe traffic also lets a shard hear from peers that have
+// nothing else to send yet (ddcnode's start barrier).
 //
 // Probe and probe-ack frames (wire::FrameKind) are handled inside the
 // transport; receive() surfaces only gossip, batch and batch_ack
@@ -68,8 +70,11 @@ class UdpTransport final : public Transport {
   }
   void send(PeerId to, const std::vector<std::byte>& frame) override;
   [[nodiscard]] std::vector<Packet> receive() override;
-  [[nodiscard]] bool peer_reachable(PeerId to) const override;
   [[nodiscard]] const LinkStats& stats(PeerId peer) const override;
+
+  /// The failure detector's liveness estimate for `to`. Advisory only —
+  /// a "reachable" peer can still drop frames.
+  [[nodiscard]] bool peer_reachable(PeerId to) const;
 
   /// The port the socket actually bound (== configured port unless 0).
   [[nodiscard]] std::uint16_t local_port() const { return local_port_; }

@@ -27,11 +27,11 @@ core::Grouping EmPartition::partition(
     std::size_t k) {
   // Audited timing probe: feeds only the em_seconds reporting counter
   // (`ddcsim --timing`), never control flow.
-  const auto start = std::chrono::steady_clock::now();  // ddclint: allow(wall-clock)
+  const auto start = std::chrono::steady_clock::now();  // ddcverify: allow(wall-clock)
   core::Grouping groups =
       em::reduce_em(to_input_mixture(collections), k, rng_, options_).groups;
   em_seconds_ +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)  // ddclint: allow(wall-clock)
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)  // ddcverify: allow(wall-clock)
           .count();
   return groups;
 }

@@ -119,16 +119,16 @@ class RoundRunner {
     // Audited timing probes: the clock reads feed only the phase
     // counters reported by `ddcsim --timing`, never control flow, so
     // the round's outcome stays a pure function of (options, seed).
-    const auto t_prepare = std::chrono::steady_clock::now();  // ddclint: allow(wall-clock)
+    const auto t_prepare = std::chrono::steady_clock::now();  // ddcverify: allow(wall-clock)
     prepare_messages();
-    const auto t_deliver = std::chrono::steady_clock::now();  // ddclint: allow(wall-clock)
+    const auto t_deliver = std::chrono::steady_clock::now();  // ddcverify: allow(wall-clock)
     timings_.prepare_seconds +=
         std::chrono::duration<double>(t_deliver - t_prepare).count();
     deliver_messages();
-    const auto t_absorb = std::chrono::steady_clock::now();  // ddclint: allow(wall-clock)
+    const auto t_absorb = std::chrono::steady_clock::now();  // ddcverify: allow(wall-clock)
     absorb_inboxes();
     timings_.absorb_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -  // ddclint: allow(wall-clock)
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -  // ddcverify: allow(wall-clock)
                                       t_absorb)
             .count();
     apply_crashes();

@@ -100,26 +100,6 @@ TEST(Loopback, DelayedFramesStayInFlightUntilDue) {
   EXPECT_EQ(net.frames_in_flight(), 0u);
 }
 
-TEST(Loopback, PerfectFailureDetector) {
-  LoopbackNetwork net(3);
-  EXPECT_TRUE(net.endpoint(0).peer_reachable(2));
-  net.set_peer_up(2, false);
-  EXPECT_FALSE(net.endpoint(0).peer_reachable(2));
-  EXPECT_FALSE(net.endpoint(1).peer_reachable(2));
-  net.set_peer_up(2, true);
-  EXPECT_TRUE(net.endpoint(0).peer_reachable(2));
-}
-
-TEST(Loopback, FramesToDownPeerStillDeliverIntoItsQueue) {
-  // A down peer's queue still fills — nobody services it, so the weight
-  // those frames carry is lost exactly as when a node dies holding it.
-  LoopbackNetwork net(2);
-  net.set_peer_up(1, false);
-  net.endpoint(0).send(1, frame_of("doomed"));
-  net.advance();
-  EXPECT_EQ(net.endpoint(1).receive().size(), 1u);
-}
-
 /// One full run's delivery log under loss and delay: every packet every
 /// endpoint receives, in order, as (receiver, sender, bytes) tuples.
 std::string delivery_log(std::uint64_t seed) {

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <iomanip>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include <ddc/gossip/runners.hpp>
+#include <ddc/wire/framing.hpp>
 #include <ddc/wire/serialize.hpp>
 
 namespace ddc::shard {
@@ -363,6 +365,53 @@ TEST(ShardFaults, SilentPeerTimesOutAndLaggardRejoins) {
   EXPECT_EQ(e1.round(), target);
   EXPECT_TRUE(e0.peer_shard_alive(1));
   EXPECT_TRUE(e1.peer_shard_alive(0));
+}
+
+TEST(ShardFaults, MalformedAndForeignFramesAreCountedAndIgnored) {
+  // Hostile input on a shard's transport: every malformed frame is
+  // counted as a decode error and dropped, frames of other kinds are
+  // ignored, and neither changes a bit of the run.
+  constexpr std::size_t kNodes = 60;
+  sim::EngineConfig config = base_config(kNodes, 13);
+  const auto inputs = bimodal_inputs(kNodes, 13);
+  const auto topology = sim::Topology::complete(kNodes);
+
+  auto clean = make_centroid_shard_cluster(topology, inputs, config, 2);
+  clean.run_rounds(10);
+
+  auto cluster = make_centroid_shard_cluster(topology, inputs, config, 2);
+  cluster.run_rounds(5);
+  const std::uint64_t errors_before = cluster.engine(0).stats().decode_errors;
+
+  // Every frame is sent from shard 1's endpoint, so shard 0 attributes
+  // it to peer 1.
+  net::LoopbackTransport& from_peer = cluster.network().endpoint(1);
+  const std::uint64_t round = cluster.engine(0).round();
+  const std::vector<std::byte> body{std::byte{0x2a}, std::byte{0x07}};
+  const wire::BatchRecord record{1, 0, wire::BatchTag::forward, body};
+  // 1. Raw garbage: fails the envelope.
+  from_peer.send(0, {std::byte{0x00}, std::byte{0x11}});
+  // 2. Valid envelope, batch payload cut one byte short.
+  std::vector<std::byte> truncated =
+      wire::encode_batch(round, 1, 2, std::span(&record, 1));
+  truncated.pop_back();
+  from_peer.send(0, wire::encode_frame(wire::FrameKind::batch, 1, round + 1,
+                                       truncated));
+  // 3. Well-formed batch whose shard field is not its sender.
+  const std::vector<std::byte> foreign =
+      wire::encode_batch(round, 0, 2, std::span(&record, 1));
+  from_peer.send(0, wire::encode_frame(wire::FrameKind::batch, 1, round + 1,
+                                       foreign));
+  // 4. Frames of kinds a shard does not handle: ignored, not errors.
+  from_peer.send(0, wire::encode_frame(wire::FrameKind::gossip, 1, 1, body));
+  from_peer.send(0, wire::encode_frame(wire::FrameKind::probe, 1, 2));
+  cluster.run_rounds(5);
+
+  EXPECT_EQ(cluster.engine(0).stats().decode_errors, errors_before + 3);
+  EXPECT_EQ(cluster.engine(1).stats().decode_errors, 0UL);
+  EXPECT_EQ(wire::encode_classification(cluster.node(0).classification()),
+            wire::encode_classification(clean.node(0).classification()));
+  EXPECT_EQ(digest_cluster(cluster), digest_cluster(clean));
 }
 
 }  // namespace

@@ -1,33 +1,27 @@
-// ddcnode — one networked classification node.
+// ddcnode — one shard process of a networked classification cluster.
 //
-// Runs a single protocol endpoint (the same GM or centroid node the
-// simulator drives) over UDP. A cluster is N of these processes sharing
-// static configuration: every node derives the full input set, the
-// topology and the peer table from the same --seed/--nodes flags and
-// takes the row matching its --id — exactly how a sensor deployment
-// ships one flashed configuration to every mote.
-//
-// Lifecycle: bind socket → wait until every peer has been heard from
-// (bounded by --start-timeout-ms) → gossip for --rounds ticks → drain →
-// print the final classification as a RESULT line on stdout.
-//
-//   ddcnode --id 3 --nodes 8 --base-port 9800 --protocol gm
-//
-// Shard mode (--num-shards S --shard-id s --nodes-per-shard M) runs one
-// ShardEngine hosting M of the S*M simulated nodes instead of a single
-// NetNode: S processes exchange batched cross-shard traffic (one frame
-// per peer shard per round) and together replay the exact round-based
-// protocol ddcsim runs in-process, so a healthy shard cluster's RESULT
+// A cluster is S ddcnode processes exchanging gossip over UDP. Each
+// process runs one ShardEngine hosting its share of the --nodes
+// simulated nodes; cross-shard messages travel as one batched frame per
+// peer shard per round. Every process derives the full input set, the
+// topology and the shard map from the same --seed/--nodes flags —
+// exactly how a sensor deployment ships one flashed configuration to
+// every mote — so together the S processes replay the round-based
+// protocol ddcsim runs in-process, and a healthy cluster's RESULT line
 // matches `ddcsim --summary-line` bit for bit.
 //
-//   ddcnode --shard-id 0 --num-shards 4 --nodes-per-shard 1000
+// Lifecycle: bind socket → wait until every peer shard has been heard
+// from (bounded by --start-timeout-ms) → run --rounds lockstep rounds →
+// drain → print shard-local stats and the first owned node's final
+// classification as a RESULT line on stdout.
+//
+//   ddcnode --shard-id 0 --num-shards 4 --nodes 4000 --protocol gm
 //
 // The shared engine flags (--topology/--nodes/--k/--quanta-exp/--seed)
-// come from cli::declare_engine_flags; every process runs the same
-// inputs-then-topology derivation ddcsim does, so a cluster and a
-// simulator run on the same seed classify the same workload over the
-// same graph. scripts/run_cluster.sh launches and checks a whole
-// cluster.
+// come from cli::declare_engine_flags and mean what they mean to
+// ddcsim: --nodes is the global node count, which ShardMap splits
+// across the --num-shards processes. scripts/run_cluster.sh launches
+// and checks a whole cluster.
 #include <chrono>
 #include <iostream>
 #include <sstream>
@@ -35,16 +29,10 @@
 
 #include <ddc/linalg/simd.hpp>
 #include <ddc/cli/engine_flags.hpp>
-#include <ddc/gossip/network.hpp>
-#include <ddc/gossip/runners.hpp>
-#include <ddc/net/codec.hpp>
-#include <ddc/net/net_node.hpp>
 #include <ddc/net/udp.hpp>
 #include <ddc/shard/factories.hpp>
 #include <ddc/sim/topology.hpp>
 #include <ddc/stats/rng.hpp>
-#include <ddc/summaries/centroid.hpp>
-#include <ddc/summaries/gaussian_summary.hpp>
 #include <ddc/workload/scenarios.hpp>
 
 #include "result_line.hpp"
@@ -64,14 +52,7 @@ constexpr ddc::cli::EngineFlagSet kNodeFlagSet{.topology = true,
                                                .backend = false,
                                                .timing = false};
 
-ddc::sim::EngineConfig node_flag_defaults() {
-  ddc::sim::EngineConfig defaults;
-  defaults.topology.nodes = 8;  // a cluster of processes, not a simulation
-  return defaults;
-}
-
 struct Config {
-  std::size_t id;
   std::uint16_t base_port;
   std::string host;
   std::string protocol;
@@ -85,16 +66,12 @@ struct Config {
   double loss_prob;
   bool verbose;
   bool stats_json;
-  // Shard mode (num_shards > 0): this process hosts nodes_per_shard of
-  // the num_shards * nodes_per_shard simulated nodes.
   std::size_t num_shards;
   std::size_t shard_id;
-  std::size_t nodes_per_shard;
   std::size_t max_exchange_polls;
   ddc::shard::Partitioner shard_map;
   ddc::sim::EngineConfig engine;
 
-  [[nodiscard]] bool shard_mode() const { return num_shards > 0; }
   [[nodiscard]] std::size_t nodes() const { return engine.topology.nodes; }
   [[nodiscard]] std::uint64_t seed() const { return engine.protocol_seed; }
 };
@@ -110,25 +87,9 @@ std::vector<Vector> make_inputs(const Config& config, ddc::stats::Rng& rng) {
   throw ddc::ConfigError("unknown workload '" + config.workload + "'");
 }
 
+/// One endpoint per shard (not per node): shard s listens on
+/// base-port + s.
 ddc::net::UdpTransport make_transport(const Config& config) {
-  std::vector<ddc::net::UdpPeer> peers;
-  peers.reserve(config.nodes());
-  for (std::size_t i = 0; i < config.nodes(); ++i) {
-    peers.push_back({config.host,
-                     static_cast<std::uint16_t>(config.base_port + i)});
-  }
-  ddc::net::UdpOptions options;
-  options.probe_timeout = std::chrono::milliseconds(config.probe_timeout_ms);
-  options.probe_retries = config.probe_retries;
-  options.inject_receive_loss = config.loss_prob;
-  options.loss_seed = ddc::stats::derive_seed(config.seed(), 7000 + config.id);
-  return ddc::net::UdpTransport(static_cast<ddc::net::PeerId>(config.id),
-                                std::move(peers), options);
-}
-
-/// Shard mode's transport: one endpoint per shard (not per node), shard
-/// s listening on base-port + s.
-ddc::net::UdpTransport make_shard_transport(const Config& config) {
   std::vector<ddc::net::UdpPeer> peers;
   peers.reserve(config.num_shards);
   for (std::size_t s = 0; s < config.num_shards; ++s) {
@@ -146,94 +107,61 @@ ddc::net::UdpTransport make_shard_transport(const Config& config) {
       options);
 }
 
-/// One-line JSON stats dump (--stats-json): per-peer link counters plus,
-/// in shard mode, the engine's batch-exchange counters. Printed to
-/// stdout so run_cluster.sh can assert on batching efficiency.
-std::string stats_json(const ddc::net::UdpTransport& transport,
-                       std::size_t num_peers, std::size_t self,
-                       const ddc::shard::ShardEngineStats* engine,
-                       const char* shard_map = nullptr) {
+/// One-line JSON stats dump (--stats-json): the engine's batch-exchange
+/// counters plus per-peer link counters. Printed to stdout so
+/// run_cluster.sh can assert on batching efficiency.
+std::string stats_json(const Config& config,
+                       const ddc::net::UdpTransport& transport,
+                       const ddc::shard::ShardEngineStats& engine) {
+  const double records_per_frame =
+      engine.batch_frames_sent > 0
+          ? static_cast<double>(engine.batch_records_sent) /
+                static_cast<double>(engine.batch_frames_sent)
+          : 0.0;
   std::ostringstream os;
-  os << "{\"mode\":\"" << (engine != nullptr ? "shard" : "node")
-     << "\",\"id\":" << self << ",\"injected_losses\":"
-     << transport.injected_losses();
-  if (shard_map != nullptr) os << ",\"shard_map\":\"" << shard_map << "\"";
-  if (engine != nullptr) {
-    const double records_per_frame =
-        engine->batch_frames_sent > 0
-            ? static_cast<double>(engine->batch_records_sent) /
-                  static_cast<double>(engine->batch_frames_sent)
-            : 0.0;
-    os << ",\"engine\":{\"batch_frames_sent\":" << engine->batch_frames_sent
-       << ",\"batch_records_sent\":" << engine->batch_records_sent
-       << ",\"batch_frames_received\":" << engine->batch_frames_received
-       << ",\"batch_records_received\":" << engine->batch_records_received
-       << ",\"acks_received\":" << engine->acks_received
-       << ",\"retransmits\":" << engine->retransmits
-       << ",\"decode_errors\":" << engine->decode_errors
-       << ",\"peer_timeouts\":" << engine->peer_timeouts
-       << ",\"unplanned_records\":" << engine->unplanned_records
-       << ",\"cut_edges\":" << engine->cut_edges
-       << ",\"boundary_nodes\":" << engine->boundary_nodes
-       << ",\"polls_during_compute\":" << engine->polls_during_compute
-       << ",\"records_per_frame\":" << records_per_frame << "}";
-  }
+  os << "{\"id\":" << config.shard_id
+     << ",\"injected_losses\":" << transport.injected_losses()
+     << ",\"shard_map\":\""
+     << ddc::shard::partitioner_name(config.shard_map) << '"'
+     << ",\"engine\":{\"batch_frames_sent\":" << engine.batch_frames_sent
+     << ",\"batch_records_sent\":" << engine.batch_records_sent
+     << ",\"batch_frames_received\":" << engine.batch_frames_received
+     << ",\"batch_records_received\":" << engine.batch_records_received
+     << ",\"acks_received\":" << engine.acks_received
+     << ",\"retransmits\":" << engine.retransmits
+     << ",\"decode_errors\":" << engine.decode_errors
+     << ",\"peer_timeouts\":" << engine.peer_timeouts
+     << ",\"unplanned_records\":" << engine.unplanned_records
+     << ",\"cut_edges\":" << engine.cut_edges
+     << ",\"boundary_nodes\":" << engine.boundary_nodes
+     << ",\"polls_during_compute\":" << engine.polls_during_compute
+     << ",\"records_per_frame\":" << records_per_frame << "}";
   os << ",\"peers\":[";
-  for (std::size_t p = 0; p < num_peers; ++p) {
-    const auto& s = transport.stats(static_cast<ddc::net::PeerId>(p));
+  for (std::size_t p = 0; p < config.num_shards; ++p) {
+    const auto peer = static_cast<ddc::net::PeerId>(p);
+    const auto& s = transport.stats(peer);
     if (p > 0) os << ',';
     os << "{\"peer\":" << p << ",\"frames_sent\":" << s.frames_sent
        << ",\"bytes_sent\":" << s.bytes_sent
        << ",\"frames_received\":" << s.frames_received
        << ",\"bytes_received\":" << s.bytes_received
        << ",\"send_failures\":" << s.send_failures << ",\"reachable\":"
-       << (p == self || transport.peer_reachable(
-                            static_cast<ddc::net::PeerId>(p))
-               ? "true"
-               : "false")
+       << (p == config.shard_id || transport.peer_reachable(peer) ? "true"
+                                                                  : "false")
        << '}';
   }
   os << "]}";
   return os.str();
 }
 
-/// Startup barrier: wait (bounded) until every peer has been heard from
-/// at least once, so slow-starting processes don't miss the first
-/// splits. Proceeds after the timeout regardless — a peer that is down
-/// from the start must not wedge the cluster. Serviced through the
-/// driver, not the raw transport: a faster peer may already be
-/// gossiping, and discarding its frames here would destroy the weight
-/// they carry.
-template <typename Driver>
-void await_peers(const Config& config, ddc::net::UdpTransport& transport,
-                 Driver& driver) {
-  using Clock = std::chrono::steady_clock;
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(config.start_timeout_ms);
-  while (Clock::now() < deadline) {
-    (void)driver.service();
-    transport.maintain();
-    bool all_heard = true;
-    for (std::size_t p = 0; p < config.nodes(); ++p) {
-      if (p == config.id) continue;
-      if (transport.stats(static_cast<ddc::net::PeerId>(p)).frames_received ==
-          0) {
-        all_heard = false;
-        break;
-      }
-    }
-    if (all_heard) return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  std::cerr << "ddcnode " << config.id
-            << ": start barrier timed out; proceeding\n";
-}
-
-/// Shard-mode startup barrier. Discarding data frames here is safe —
-/// unlike the gossip path, every batch is retransmitted until acked, so
-/// nothing a fast-starting peer sent during our barrier is lost.
-void await_shard_peers(const Config& config,
-                       ddc::net::UdpTransport& transport) {
+/// Startup barrier: wait (bounded) until every peer shard has been heard
+/// from at least once — its probes count — so a slow-starting process
+/// does not get timed out of the first round. Proceeds after the
+/// timeout regardless: a shard that is down from the start must not
+/// wedge the cluster. Discarding data frames here is safe: every batch
+/// is retransmitted until acked, so nothing a fast-starting peer sent
+/// during our barrier is lost.
+void await_peers(const Config& config, ddc::net::UdpTransport& transport) {
   if (config.num_shards <= 1) return;
   using Clock = std::chrono::steady_clock;
   const auto deadline =
@@ -258,9 +186,9 @@ void await_shard_peers(const Config& config,
 }
 
 template <typename Engine, typename MeanFn>
-int drive_shard(const Config& config, ddc::net::UdpTransport& transport,
-                Engine& engine, MeanFn mean_of) {
-  await_shard_peers(config, transport);
+int run(const Config& config, ddc::net::UdpTransport& transport,
+        Engine& engine, MeanFn mean_of) {
+  await_peers(config, transport);
   engine.run_rounds(config.rounds);
   // Drain: a lagging or restarted peer shard may still be replaying
   // rounds and needs this shard's re-acks (service() answers them
@@ -280,69 +208,14 @@ int drive_shard(const Config& config, ddc::net::UdpTransport& transport,
               << " injected_losses=" << transport.injected_losses() << '\n';
   }
   if (config.stats_json) {
-    std::cout << stats_json(
-                     transport, config.num_shards, config.shard_id,
-                     &engine.stats(),
-                     ddc::shard::partitioner_name(config.shard_map).data())
-              << '\n';
+    std::cout << stats_json(config, transport, engine.stats()) << '\n';
   }
   // Every shard reports its first owned node; shard 0's line is global
-  // node 0's classification, directly comparable with ddcsim's.
+  // node 0's classification, directly comparable with ddcsim's. Explicit
+  // flush: run_cluster.sh consumes this line from a pipe and must see it
+  // even if the process is subsequently killed.
   std::cout << ddc::tools::result_line(
                    engine.nodes().front().classification(), mean_of)
-            << '\n'
-            << std::flush;
-  return 0;
-}
-
-template <typename Node, typename Codec, typename MeanFn>
-int run(const Config& config, Node node, ddc::sim::Topology topology,
-        MeanFn mean_of) {
-  ddc::net::UdpTransport transport = make_transport(config);
-  ddc::net::NetNodeOptions node_options;
-  node_options.seed = ddc::stats::derive_seed(config.seed(), 0x4e4f4445ULL +
-                                                                 config.id);
-  ddc::net::NetNode<Node, Codec> driver(std::move(node), transport,
-                                        std::move(topology), node_options);
-  await_peers(config, transport, driver);
-
-  const auto tick = std::chrono::milliseconds(config.tick_ms);
-  for (std::size_t r = 0; r < config.rounds; ++r) {
-    (void)driver.begin_round();
-    (void)driver.service();
-    transport.maintain();
-    std::this_thread::sleep_for(tick);
-  }
-  // Quiesce: keep absorbing in-flight traffic, send nothing new.
-  for (std::size_t t = 0; t < config.drain_ticks; ++t) {
-    (void)driver.service();
-    std::this_thread::sleep_for(tick);
-  }
-
-  if (config.verbose) {
-    std::uint64_t sent = 0;
-    std::uint64_t received = 0;
-    std::size_t reachable = 0;
-    for (std::size_t p = 0; p < config.nodes(); ++p) {
-      const auto id = static_cast<ddc::net::PeerId>(p);
-      sent += transport.stats(id).frames_sent;
-      received += transport.stats(id).frames_received;
-      if (p != config.id && transport.peer_reachable(id)) ++reachable;
-    }
-    std::cerr << "ddcnode " << config.id << ": sent=" << sent
-              << " received=" << received
-              << " absorbed=" << driver.messages_absorbed()
-              << " decode_errors=" << driver.decode_errors()
-              << " injected_losses=" << transport.injected_losses()
-              << " reachable_peers=" << reachable << '\n';
-  }
-  if (config.stats_json) {
-    std::cout << stats_json(transport, config.nodes(), config.id, nullptr)
-              << '\n';
-  }
-  // Explicit flush: run_cluster.sh consumes this line from a pipe and
-  // must see it even if the process is subsequently killed.
-  std::cout << ddc::tools::result_line(driver.node().classification(), mean_of)
             << '\n'
             << std::flush;
   return 0;
@@ -352,16 +225,19 @@ int run(const Config& config, Node node, ddc::sim::Topology topology,
 
 int main(int argc, char** argv) {
   ddc::cli::Flags flags("ddcnode",
-                        "networked distributed-classification node (one "
-                        "process per node, gossip over UDP)");
-  flags.declare("id", "this node's index in the peer table", "0");
-  flags.declare("base-port", "node i listens on base-port + i", "9800");
-  flags.declare("host", "IPv4 address every node binds and dials", "127.0.0.1");
+                        "one shard process of a networked distributed-"
+                        "classification cluster (batched gossip over UDP)");
+  flags.declare("base-port", "shard s listens on base-port + s", "9800");
+  flags.declare("host", "IPv4 address every shard binds and dials",
+                "127.0.0.1");
   flags.declare("protocol", "gm | centroid", "gm");
   flags.declare("workload", "clusters | fence", "clusters");
-  flags.declare("rounds", "gossip ticks to run", "60");
-  flags.declare("tick-ms", "milliseconds between gossip ticks", "20");
-  flags.declare("drain-ticks", "receive-only ticks after the last round", "25");
+  flags.declare("rounds", "lockstep gossip rounds to run", "60");
+  flags.declare("tick-ms", "milliseconds between drain ticks", "20");
+  flags.declare("drain-ticks",
+                "service-only ticks after the last round (re-acks for "
+                "lagging peers)",
+                "25");
   flags.declare("start-timeout-ms", "max wait for peers at startup", "5000");
   flags.declare("probe-timeout-ms", "silence span before probing a peer",
                 "250");
@@ -369,30 +245,25 @@ int main(int argc, char** argv) {
                 "3");
   flags.declare("loss-prob",
                 "probability of dropping each incoming datagram (loss "
-                "injection for tests; in shard mode the batch protocol "
-                "retransmits through it)",
+                "injection for tests; the batch protocol retransmits "
+                "through it)",
                 "0");
   flags.declare("num-shards",
-                "run in shard mode with this many shard processes (0 = "
-                "single-node mode)",
-                "0");
-  flags.declare("shard-id", "this process's shard index (shard mode)", "0");
-  flags.declare("nodes-per-shard",
-                "simulated nodes hosted by each shard (shard mode; total "
-                "nodes = num-shards * nodes-per-shard)",
-                "0");
+                "shard processes in the cluster; --nodes are split "
+                "across them",
+                "1");
+  flags.declare("shard-id", "this process's shard index", "0");
   flags.declare("max-exchange-polls",
                 "polls without traffic before a peer shard is declared "
-                "dead (shard mode; 0 waits forever)",
+                "dead (0 waits forever)",
                 "4000");
-  flags.declare("shard-map",
-                "contiguous | edgecut node->shard assignment (shard mode)",
+  flags.declare("shard-map", "contiguous | edgecut node->shard assignment",
                 "contiguous");
   flags.declare_bool("stats-json",
                      "print one line of JSON link/batch statistics to "
                      "stdout before the RESULT line");
   flags.declare_bool("verbose", "print traffic stats to stderr");
-  ddc::cli::declare_engine_flags(flags, node_flag_defaults(), kNodeFlagSet);
+  ddc::cli::declare_engine_flags(flags, {}, kNodeFlagSet);
 
   try {
     if (!flags.parse(argc, argv)) {
@@ -400,7 +271,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     Config config{
-        static_cast<std::size_t>(flags.get_int("id")),
         static_cast<std::uint16_t>(flags.get_int("base-port")),
         flags.get("host"),
         flags.get("protocol"),
@@ -416,27 +286,11 @@ int main(int argc, char** argv) {
         flags.get_bool("stats-json"),
         static_cast<std::size_t>(flags.get_int("num-shards")),
         static_cast<std::size_t>(flags.get_int("shard-id")),
-        static_cast<std::size_t>(flags.get_int("nodes-per-shard")),
         static_cast<std::size_t>(flags.get_int("max-exchange-polls")),
         ddc::shard::parse_partitioner(flags.get("shard-map")),
-        ddc::cli::parse_engine_config(flags, node_flag_defaults(),
-                                      kNodeFlagSet),
+        ddc::cli::parse_engine_config(flags, {}, kNodeFlagSet),
     };
     ddc::linalg::simd::configure(config.engine.simd);
-    if (config.shard_mode()) {
-      if (config.nodes_per_shard == 0) {
-        throw ddc::ConfigError("shard mode needs --nodes-per-shard > 0");
-      }
-      if (config.shard_id >= config.num_shards) {
-        throw ddc::ConfigError("--shard-id must be < --num-shards");
-      }
-      // In shard mode the simulated population is derived, not taken
-      // from --nodes: every shard must agree on the global node count.
-      config.engine.topology.nodes =
-          config.num_shards * config.nodes_per_shard;
-    } else if (config.id >= config.nodes()) {
-      throw ddc::ConfigError("--id must be < --nodes");
-    }
     if (config.loss_prob < 0.0 || config.loss_prob > 1.0) {
       throw ddc::ConfigError("--loss-prob must be in [0, 1]");
     }
@@ -448,64 +302,36 @@ int main(int argc, char** argv) {
     const std::vector<Vector> inputs = make_inputs(config, rng);
     ddc::sim::Topology topology = config.engine.build_topology(rng);
 
-    if (config.shard_mode()) {
-      ddc::net::UdpTransport transport = make_shard_transport(config);
-      ddc::shard::ShardEngineOptions pacing;
-      pacing.max_exchange_polls = config.max_exchange_polls;
-      pacing.partitioner = config.shard_map;
-      pacing.idle = [&transport] {
-        transport.maintain();
-        std::this_thread::sleep_for(std::chrono::microseconds(500));
-      };
-      const auto shard_id =
-          static_cast<ddc::shard::ShardId>(config.shard_id);
-      const auto num_shards =
-          static_cast<ddc::shard::ShardId>(config.num_shards);
-      if (config.protocol == "gm") {
-        auto engine = ddc::shard::make_gm_shard_engine(
-            std::move(topology), inputs, config.engine, shard_id, num_shards,
-            &transport, pacing);
-        return drive_shard(config, transport, engine,
-                           [](const ddc::stats::Gaussian& g) {
-                             return g.mean();
-                           });
-      }
-      if (config.protocol == "centroid") {
-        auto engine = ddc::shard::make_centroid_shard_engine(
-            std::move(topology), inputs, config.engine, shard_id, num_shards,
-            &transport, pacing);
-        return drive_shard(config, transport, engine,
-                           [](const Vector& v) { return v; });
-      }
-      throw ddc::ConfigError("unknown protocol '" + config.protocol + "'");
+    // ShardMap rejects --num-shards 0 and more shards than nodes; check
+    // the layout (cheap contiguous map) before binding a socket.
+    const auto num_shards = static_cast<ddc::shard::ShardId>(config.num_shards);
+    (void)ddc::shard::ShardMap(config.nodes(), num_shards);
+    if (config.shard_id >= config.num_shards) {
+      throw ddc::ConfigError("--shard-id must be < --num-shards");
     }
+    const auto shard_id = static_cast<ddc::shard::ShardId>(config.shard_id);
 
-    const ddc::gossip::NetworkConfig net =
-        ddc::gossip::network_config(config.engine);
-    const auto options =
-        ddc::gossip::node_options(net, config.id, config.nodes());
-
+    ddc::net::UdpTransport transport = make_transport(config);
+    ddc::shard::ShardEngineOptions pacing;
+    pacing.max_exchange_polls = config.max_exchange_polls;
+    pacing.partitioner = config.shard_map;
+    pacing.idle = [&transport] {
+      transport.maintain();
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    };
     if (config.protocol == "gm") {
-      ddc::gossip::GmNode node(
-          inputs[config.id],
-          ddc::partition::EmPartition(
-              ddc::stats::Rng::derive(config.seed(), config.id), {}),
-          options);
-      return run<ddc::gossip::GmNode,
-                 ddc::net::ClassificationCodec<ddc::stats::Gaussian>>(
-          config, std::move(node), std::move(topology),
-          [](const ddc::stats::Gaussian& g) { return g.mean(); });
+      auto engine = ddc::shard::make_gm_shard_engine(
+          std::move(topology), inputs, config.engine, shard_id, num_shards,
+          &transport, pacing);
+      return run(config, transport, engine,
+                 [](const ddc::stats::Gaussian& g) { return g.mean(); });
     }
     if (config.protocol == "centroid") {
-      ddc::gossip::CentroidNode node(
-          inputs[config.id],
-          ddc::partition::GreedyDistancePartition<
-              ddc::summaries::CentroidPolicy>{},
-          options);
-      return run<ddc::gossip::CentroidNode,
-                 ddc::net::ClassificationCodec<Vector>>(
-          config, std::move(node), std::move(topology),
-          [](const Vector& v) { return v; });
+      auto engine = ddc::shard::make_centroid_shard_engine(
+          std::move(topology), inputs, config.engine, shard_id, num_shards,
+          &transport, pacing);
+      return run(config, transport, engine,
+                 [](const Vector& v) { return v; });
     }
     throw ddc::ConfigError("unknown protocol '" + config.protocol + "'");
   } catch (const ddc::Error& e) {

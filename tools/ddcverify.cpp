@@ -1,17 +1,32 @@
-// ddcverify — protocol-invariant static analysis, generation 2.
+// ddcverify — the repo's source analyzer: one lexer, one allow-marker
+// syntax, one self-test, four rule families.
 //
-// ddclint (generation 1) guards the *determinism* contract with a
-// substring scanner: mention of a hazard in a deterministic module is
-// itself worth a comment, so mention-level matching is the right bias.
-// The three subsystems added since that pass — the sharded batch/ack
-// protocol, the SoA scale engine and the SIMD dispatch seam — have
-// invariants that substring matching cannot express: they are about
-// *flow* (which buffer reached which operation), *reachability* (which
-// function runs inside the per-round hot path) and *cross-file
-// consistency* (which kernels the dispatch table registers vs. which
-// the equivalence tests cover). ddcverify grows the scanner into a
-// token-aware, multi-pass analyzer for exactly those three rule
-// families:
+//   determinism     In the deterministic modules (--deterministic), the
+//                   modules whose output must be a pure function of
+//                   (inputs, options, seed), any *mention* of a
+//                   nondeterminism hazard is a finding. One stray
+//                   wall-clock read, unseeded RNG or hash-order
+//                   iteration breaks bit-identical runs for every seed;
+//                   example-based tests catch that only on the
+//                   configurations they run. Five substring rules over
+//                   the lexed code lines:
+//                     raw-rand           rand()/srand()/random_device
+//                                        (use stats::Rng streams via
+//                                        stats::derive_seed)
+//                     nonportable-engine std::default_random_engine /
+//                                        std::knuth_b (sequence is
+//                                        implementation-defined)
+//                     unordered-iter     std::unordered_* containers
+//                                        (unspecified iteration order)
+//                     wall-clock         clock ::now() reads, time(),
+//                                        clock(), gettimeofday
+//                     float-reorder      std::reduce / std::execution:: /
+//                                        atomic floats / fast-math and
+//                                        horizontal-add SIMD kernels
+//                                        (re-associated float sums)
+//                   Mention-level matching is the right bias here: even
+//                   an unused hazard in a deterministic module deserves
+//                   an audited allow marker explaining itself.
 //
 //   wire-taint      In transport-facing code, any buffer originating
 //                   from Transport::receive()/frame payloads (tainted:
@@ -30,7 +45,7 @@
 //                   no local owning std containers (vector, string,
 //                   map, ...). This locks in the scratch-reuse
 //                   discipline the merge/EM/SoA/shard hot paths
-//                   established by hand (PRs 3, 5, 8, 9).
+//                   established by hand.
 //
 //   simd-parity     Every kernel registered in the linalg::simd
 //                   dispatch seam (--simd-dispatch files) must have a
@@ -42,11 +57,14 @@
 //                   reference implementation and cross-tier coverage.
 //
 // Usage:
-//   ddcverify [--self-test] [--list-rules]
+//   ddcverify [--self-test] [--list-rules] [--deterministic <d1,d2>]
 //             [--simd-dispatch <f1,f2>] [--simd-tests <f1,f2>]
 //             <file-or-dir>...
 //
-// Findings print one per line, ddclint-style:
+// Every file under the positional paths and the --deterministic list is
+// scanned for wire-taint and hot-path-alloc; only files under a
+// --deterministic entry get the determinism rules. Findings print one
+// per line:
 //
 //   src/net/src/udp.cpp:162: [wire-taint] raw memory operation on ...
 //
@@ -54,13 +72,13 @@
 //
 // Suppressions: `// ddcverify: allow(<rule>)` on the same line or the
 // line directly above. Every marker is an *audited* exception and must
-// carry a justification in the surrounding comment (the PR 4
-// convention). `allow(*)` suppresses all rules on that line.
+// carry a justification in the surrounding comment. `allow(*)`
+// suppresses all rules on that line.
 //
-// Like ddclint, the analyzer is deliberately compiler-free: a shared
-// lexer strips comments and string literals, a lightweight parser finds
-// function definitions and call sites, and everything else is
-// token-level pattern matching. No compile database, builds in
+// The analyzer is deliberately compiler-free: a shared lexer strips
+// comments and string literals, a lightweight parser finds function
+// definitions and call sites, and everything else is token- or
+// substring-level pattern matching. No compile database, builds in
 // seconds, runs in milliseconds — and the price (it reasons about
 // tokens, not types) is the right bias for a gate: code too clever for
 // the analyzer to follow deserves either simplification or an audited
@@ -76,10 +94,15 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace {
 
+constexpr std::string_view kUsage =
+    "usage: ddcverify [--self-test] [--list-rules] [--deterministic <d1,d2>]\n"
+    "                 [--simd-dispatch <f1,f2>] [--simd-tests <f1,f2>]\n"
+    "                 <file-or-dir>...\n";
 constexpr std::string_view kAllowMarker = "ddcverify: allow(";
 constexpr std::string_view kHotpathMarker = "ddcverify: hotpath";
 
@@ -385,7 +408,76 @@ std::vector<FunctionDef> find_functions(const SourceFile& f) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 1: wire-taint.
+// Family 1: determinism (mention-level substring rules).
+// ---------------------------------------------------------------------------
+
+struct DeterminismRule {
+  std::string_view name;
+  // A code line (comments and string literals blanked) violates the
+  // rule if any pattern occurs in it.
+  std::vector<std::string_view> patterns;
+  std::string_view message;
+};
+
+const std::vector<DeterminismRule>& determinism_rules() {
+  static const std::vector<DeterminismRule> kRules = {
+      {"raw-rand",
+       {"std::random_device", "random_device", " rand(", "\trand(", "(rand(",
+        "=rand(", "::rand(", " srand(", "\tsrand(", "(srand(", "::srand("},
+       "raw C randomness / random_device in a deterministic module "
+       "(derive a ddc::stats::Rng stream via stats::derive_seed instead)"},
+      {"nonportable-engine",
+       {"std::default_random_engine", "std::knuth_b"},
+       "implementation-defined random engine (its sequence differs across "
+       "standard libraries; use ddc::stats::Rng / std::mt19937_64)"},
+      {"unordered-iter",
+       {"std::unordered_map", "std::unordered_set", "std::unordered_multimap",
+        "std::unordered_multiset"},
+       "unordered container in a deterministic module (hash iteration "
+       "order is unspecified and feeds ordered output; use std::map / "
+       "std::set / a sorted vector, or justify with an allow marker)"},
+      {"wall-clock",
+       {"steady_clock::now", "system_clock::now", "high_resolution_clock::now",
+        "gettimeofday", " time(nullptr", " time(NULL", "(time(nullptr",
+        "(time(NULL", " clock()", "(clock()"},
+       "wall-clock read in a deterministic module (real time must not "
+       "steer a deterministic path; timing probes need an audited allow "
+       "marker)"},
+      {"float-reorder",
+       {"std::reduce", "std::execution::", "std::atomic<double>",
+        "std::atomic<float>", "atomic<double>", "atomic<float>", "fastmath",
+        "_mm256_hadd_pd"},
+       "accumulation-order hazard (float addition is not associative; "
+       "reductions must run in a fixed sequential order — see "
+       "exec/parallel_for.hpp — and fast-math / horizontal-add SIMD "
+       "kernels re-associate by design, so every use needs an audited "
+       "allow marker and error-bound tests, never golden digests)"},
+  };
+  return kRules;
+}
+
+bool is_determinism_rule(std::string_view rule) {
+  for (const DeterminismRule& r : determinism_rules()) {
+    if (r.name == rule) return true;
+  }
+  return false;
+}
+
+void scan_determinism(const SourceFile& f, std::vector<Finding>& findings) {
+  for (std::size_t n = 0; n < f.code.size(); ++n) {
+    for (const DeterminismRule& rule : determinism_rules()) {
+      for (const std::string_view pattern : rule.patterns) {
+        if (f.code[n].find(pattern) != std::string::npos) {
+          report(findings, f, n + 1, rule.name, std::string(rule.message));
+          break;
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Family 2: wire-taint.
 // ---------------------------------------------------------------------------
 
 constexpr std::string_view kWireTaintRule = "wire-taint";
@@ -531,7 +623,7 @@ void scan_wire_taint(const SourceFile& f, std::vector<Finding>& findings) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 2: hot-path-alloc.
+// Family 3: hot-path-alloc.
 // ---------------------------------------------------------------------------
 
 constexpr std::string_view kHotPathRule = "hot-path-alloc";
@@ -687,7 +779,7 @@ void scan_hot_path_alloc(const SourceFile& f, std::vector<Finding>& findings) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 3: simd-parity.
+// Family 4: simd-parity.
 // ---------------------------------------------------------------------------
 
 constexpr std::string_view kSimdParityRule = "simd-parity";
@@ -825,10 +917,10 @@ bool load_file(const std::string& path, SourceFile& out) {
   return true;
 }
 
-int scan_paths(const std::vector<std::string>& paths,
-               const std::vector<std::string>& dispatch_paths,
-               const std::vector<std::string>& test_paths) {
-  std::vector<std::filesystem::path> files;
+/// Appends every source file under `paths` (files or directories) to
+/// `out`; false (after reporting) when a path does not exist.
+bool collect_files(const std::vector<std::string>& paths,
+                   std::vector<std::filesystem::path>& out) {
   for (const std::string& p : paths) {
     const std::filesystem::path path(p);
     std::error_code ec;
@@ -836,16 +928,31 @@ int scan_paths(const std::vector<std::string>& paths,
       for (const auto& entry :
            std::filesystem::recursive_directory_iterator(path)) {
         if (entry.is_regular_file() && is_source_file(entry.path())) {
-          files.push_back(entry.path());
+          out.push_back(entry.path());
         }
       }
     } else if (std::filesystem::is_regular_file(path, ec)) {
-      files.push_back(path);
+      out.push_back(path);
     } else {
       std::cerr << "ddcverify: no such file or directory: " << p << "\n";
-      return 2;
+      return false;
     }
   }
+  return true;
+}
+
+int scan_paths(const std::vector<std::string>& paths,
+               const std::vector<std::string>& deterministic_paths,
+               const std::vector<std::string>& dispatch_paths,
+               const std::vector<std::string>& test_paths) {
+  std::vector<std::filesystem::path> deterministic;
+  std::vector<std::filesystem::path> files;
+  if (!collect_files(deterministic_paths, deterministic) ||
+      !collect_files(paths, files)) {
+    return 2;
+  }
+  std::sort(deterministic.begin(), deterministic.end());
+  files.insert(files.end(), deterministic.begin(), deterministic.end());
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
@@ -855,6 +962,10 @@ int scan_paths(const std::vector<std::string>& paths,
     if (!load_file(file.string(), f)) {
       std::cerr << "ddcverify: cannot read " << file.string() << "\n";
       return 2;
+    }
+    if (std::binary_search(deterministic.begin(), deterministic.end(),
+                           file)) {
+      scan_determinism(f, findings);
     }
     scan_wire_taint(f, findings);
     scan_hot_path_alloc(f, findings);
@@ -905,6 +1016,7 @@ std::vector<Finding> findings_for(const std::string& text,
                                   std::string_view rule) {
   const SourceFile f = lex("<plant>", text);
   std::vector<Finding> findings;
+  if (is_determinism_rule(rule)) scan_determinism(f, findings);
   if (rule == kWireTaintRule) scan_wire_taint(f, findings);
   if (rule == kHotPathRule) scan_hot_path_alloc(f, findings);
   return findings;
@@ -931,6 +1043,34 @@ int self_test() {
       ++failures;
     }
   };
+
+  // --- determinism ----------------------------------------------------
+  // One plant per hazard shape; each must fire, and be silenced by an
+  // allow marker on the same line or on the line above.
+  const std::vector<std::pair<std::string_view, std::string>> plants = {
+      {"raw-rand", "  std::random_device rd;"},
+      {"raw-rand", "  int x = rand();"},
+      {"raw-rand", "  int y = std::rand();"},
+      {"nonportable-engine", "  std::default_random_engine eng(7);"},
+      {"unordered-iter", "  std::unordered_map<int, int> counts;"},
+      {"wall-clock", "  auto t = std::chrono::steady_clock::now();"},
+      {"float-reorder", "  double s = std::reduce(v.begin(), v.end(), 0.0);"},
+      {"float-reorder", "  const __m256d h = _mm256_hadd_pd(acc, acc);"},
+      {"float-reorder", "  out[i] = score_batch_avx2_fastmath(s, x);"},
+  };
+  for (const auto& [rule, code] : plants) {
+    const std::string marker = "// ddcverify: allow(" + std::string(rule) + ")";
+    expect_fires(code + "\n", rule, code.c_str());
+    expect_clean(code + "  " + marker + "\n", rule, "inline-allowed plant");
+    expect_clean("  // audited sink. " + marker + "\n" + code + "\n", rule,
+                 "preceding-line-allowed plant");
+  }
+  // Mentions inside comments and string literals must never fire.
+  expect_clean(
+      "// std::random_device is banned here\n"
+      "/* steady_clock::now() in a block comment */\n"
+      "const char* msg = \"std::unordered_map<int,int> in a string\";\n",
+      "wall-clock", "determinism hazards in comment/string (benign)");
 
   // --- wire-taint -----------------------------------------------------
   const std::string taint_memcpy =
@@ -1095,6 +1235,9 @@ int self_test() {
 }
 
 void list_rules() {
+  for (const DeterminismRule& rule : determinism_rules()) {
+    std::cout << rule.name << " (determinism)\n    " << rule.message << "\n";
+  }
   for (const RuleDoc& rule : rules()) {
     std::cout << rule.name << "\n    " << rule.doc << "\n";
   }
@@ -1114,6 +1257,7 @@ std::vector<std::string> split_csv(const std::string& arg) {
 
 int main(int argc, char** argv) {
   std::vector<std::string> paths;
+  std::vector<std::string> deterministic_paths;
   std::vector<std::string> dispatch_paths;
   std::vector<std::string> test_paths;
   for (int i = 1; i < argc; ++i) {
@@ -1123,23 +1267,23 @@ int main(int argc, char** argv) {
       list_rules();
       return 0;
     }
-    if (arg == "--simd-dispatch" || arg == "--simd-tests") {
+    if (arg == "--deterministic" || arg == "--simd-dispatch" ||
+        arg == "--simd-tests") {
       if (i + 1 >= argc) {
         std::cerr << "ddcverify: " << arg << " needs a comma-separated "
-                     "file list\n";
+                     "path list\n";
         return 2;
       }
-      auto& target = arg == "--simd-dispatch" ? dispatch_paths : test_paths;
+      auto& target = arg == "--deterministic"   ? deterministic_paths
+                     : arg == "--simd-dispatch" ? dispatch_paths
+                                                : test_paths;
       for (std::string& p : split_csv(argv[++i])) {
         target.push_back(std::move(p));
       }
       continue;
     }
     if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: ddcverify [--self-test] [--list-rules]\n"
-                   "                 [--simd-dispatch <f1,f2>] "
-                   "[--simd-tests <f1,f2>]\n"
-                   "                 <file-or-dir>...\n";
+      std::cout << kUsage;
       return 0;
     }
     if (arg.rfind("--", 0) == 0) {
@@ -1148,12 +1292,9 @@ int main(int argc, char** argv) {
     }
     paths.emplace_back(arg);
   }
-  if (paths.empty() && dispatch_paths.empty()) {
-    std::cerr << "usage: ddcverify [--self-test] [--list-rules]\n"
-                 "                 [--simd-dispatch <f1,f2>] "
-                 "[--simd-tests <f1,f2>]\n"
-                 "                 <file-or-dir>...\n";
+  if (paths.empty() && deterministic_paths.empty() && dispatch_paths.empty()) {
+    std::cerr << kUsage;
     return 2;
   }
-  return scan_paths(paths, dispatch_paths, test_paths);
+  return scan_paths(paths, deterministic_paths, dispatch_paths, test_paths);
 }
