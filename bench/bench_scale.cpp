@@ -1,5 +1,5 @@
 // bench_scale — throughput and memory benchmark for the SoA scale
-// engine (and, for comparison, the object engine) at 10k–1M nodes.
+// engine at 10k–1M nodes.
 //
 // One configuration per process invocation, so getrusage peak-RSS is a
 // clean per-configuration high-water mark. Prints exactly one JSON
@@ -8,13 +8,13 @@
 //   {"name":"centroid/ring/10000","nodes":10000,...,"rounds_per_s":...,
 //    "peak_rss_mb":...}
 //
-// scripts/bench_scale.sh runs the tier list and assembles the numbers
-// that live in BENCH_scale.json; scripts/bench_gate.sh --scale compares
-// fresh runs against that baseline.
+// scripts/bench_gate.sh --scale-update runs the tier list and prints the
+// numbers that live in BENCH_scale.json; scripts/bench_gate.sh --scale
+// compares fresh runs against that baseline.
 //
 // The flag surface is the shared engine surface (cli::engine_flags) —
-// the same --topology/--nodes/--radius/--er-prob/--threads/--engine
-// flags ddcsim takes — plus --protocol and --rounds. Note that the
+// the same --topology/--nodes/--radius/--er-prob/--threads flags ddcsim
+// takes — plus --protocol and --rounds. Note that the
 // TopologySpec density defaults (radius = max(0.15, 2/√n)) are sized
 // for paper-scale runs; at 10⁵–10⁶ nodes always pass an explicit sparse
 // --radius / --er-prob or the graph itself dwarfs memory.
@@ -101,41 +101,20 @@ int main(int argc, char** argv) {
         ddc::workload::two_clusters_inputs(n, rng);
 
     Measurement m;
-    std::string engine_name;
-    if (config.use_soa()) {
-      engine_name = "soa";
-      if (protocol == "centroid") {
-        auto engine = [&] {
-          return ddc::gossip::make_centroid_scale_engine(std::move(topology),
-                                                         inputs, config);
-        };
-        m = measure(rounds, engine);
-      } else if (protocol == "gm") {
-        auto engine = [&] {
-          return ddc::gossip::make_gm_scale_engine(std::move(topology), inputs,
-                                                   config);
-        };
-        m = measure(rounds, engine);
-      } else {
-        throw ddc::ConfigError("unknown protocol '" + protocol + "'");
-      }
+    if (protocol == "centroid") {
+      auto engine = [&] {
+        return ddc::gossip::make_centroid_scale_engine(std::move(topology),
+                                                       inputs, config);
+      };
+      m = measure(rounds, engine);
+    } else if (protocol == "gm") {
+      auto engine = [&] {
+        return ddc::gossip::make_gm_scale_engine(std::move(topology), inputs,
+                                                 config);
+      };
+      m = measure(rounds, engine);
     } else {
-      engine_name = "object";
-      if (protocol == "centroid") {
-        auto engine = [&] {
-          return ddc::gossip::make_centroid_round_runner(std::move(topology),
-                                                         inputs, config);
-        };
-        m = measure(rounds, engine);
-      } else if (protocol == "gm") {
-        auto engine = [&] {
-          return ddc::gossip::make_gm_round_runner(std::move(topology), inputs,
-                                                   config);
-        };
-        m = measure(rounds, engine);
-      } else {
-        throw ddc::ConfigError("unknown protocol '" + protocol + "'");
-      }
+      throw ddc::ConfigError("unknown protocol '" + protocol + "'");
     }
     m.nodes = n;
     m.edges = edges;
@@ -149,12 +128,12 @@ int main(int argc, char** argv) {
 
     // One record per line; keys are stable for the awk in bench_gate.sh.
     std::printf(
-        "{\"name\":\"%s\",\"engine\":\"%s\",\"nodes\":%zu,\"edges\":%zu,"
+        "{\"name\":\"%s\",\"nodes\":%zu,\"edges\":%zu,"
         "\"threads\":%zu,\"rounds\":%zu,\"alive\":%zu,\"build_s\":%.4f,"
         "\"run_s\":%.4f,\"rounds_per_s\":%.4f,\"peak_rss_mb\":%.1f}\n",
-        name.c_str(), engine_name.c_str(), m.nodes, m.edges,
-        config.parallelism, m.rounds, m.alive, m.build_s, m.run_s,
-        static_cast<double>(m.rounds) / m.run_s, peak_rss_mb());
+        name.c_str(), m.nodes, m.edges, config.parallelism, m.rounds, m.alive,
+        m.build_s, m.run_s, static_cast<double>(m.rounds) / m.run_s,
+        peak_rss_mb());
     return 0;
   } catch (const ddc::Error& e) {
     std::cerr << "bench_scale: " << e.what() << '\n';

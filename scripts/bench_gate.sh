@@ -228,7 +228,7 @@ if [[ "$MODE" == scale* ]]; then
       args=${entry#*|}
       # shellcheck disable=SC2086
       line=$("$BUILD_DIR/bench/bench_scale" $args \
-               --engine soa --threads 0 --seed 1 --name "$name")
+               --threads 0 --seed 1 --name "$name")
       echo "$line" | awk -F'[:,]' -v name="$name" '{
         for (i = 1; i < NF; ++i) {
           if ($i ~ /"rounds_per_s"/) rps = $(i + 1)

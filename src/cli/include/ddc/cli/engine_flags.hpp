@@ -22,7 +22,6 @@ struct EngineFlagSet {
   bool faults = true;       ///< --crash-prob --loss-prob
   bool parallelism = true;  ///< --threads
   bool protocol = true;     ///< --k --quanta-exp
-  bool backend = true;      ///< --engine (object | soa | auto)
   bool simd = true;         ///< --simd (auto | scalar | avx2)
   bool timing = true;       ///< --timing
 };

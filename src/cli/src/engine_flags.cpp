@@ -23,22 +23,6 @@ sim::GossipPattern parse_pattern(const std::string& name) {
   throw ConfigError("unknown pattern '" + name + "' (push | pull | push-pull)");
 }
 
-const char* backend_name(sim::EngineBackend backend) {
-  switch (backend) {
-    case sim::EngineBackend::object: return "object";
-    case sim::EngineBackend::soa: return "soa";
-    case sim::EngineBackend::auto_select: return "auto";
-  }
-  return "?";
-}
-
-sim::EngineBackend parse_backend(const std::string& name) {
-  if (name == "object") return sim::EngineBackend::object;
-  if (name == "soa") return sim::EngineBackend::soa;
-  if (name == "auto") return sim::EngineBackend::auto_select;
-  throw ConfigError("unknown engine '" + name + "' (object | soa | auto)");
-}
-
 /// The exponent e with 2^e == quanta, for rendering the --quanta-exp
 /// default; falls back to 20 for non-power-of-two programmatic defaults.
 int quanta_exponent(std::int64_t quanta) {
@@ -87,13 +71,6 @@ void declare_engine_flags(Flags& flags, const sim::EngineConfig& defaults,
     flags.declare("k", "max collections per node", std::to_string(defaults.k));
     flags.declare("quanta-exp", "weight quanta per unit = 2^this",
                   std::to_string(quanta_exponent(defaults.quanta_per_unit)));
-  }
-  if (set.backend) {
-    flags.declare("engine",
-                  "node-state backend: object (one protocol object per "
-                  "node) | soa (struct-of-arrays scale engine, round mode "
-                  "only) | auto (soa at scale, object otherwise)",
-                  backend_name(defaults.backend));
   }
   if (set.simd) {
     flags.declare("simd",
@@ -151,9 +128,6 @@ sim::EngineConfig parse_engine_config(const Flags& flags,
       throw ConfigError("--quanta-exp must be in [0, 62]");
     }
     config.quanta_per_unit = std::int64_t{1} << quanta_exp;
-  }
-  if (set.backend) {
-    config.backend = parse_backend(flags.get("engine"));
   }
   if (set.simd) {
     const std::string name = flags.get("simd");

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -57,5 +58,12 @@ class ThreadPool {
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
+
+/// The pool behind `parallelism` concurrent parallel_for lanes, with 0
+/// meaning one lane per hardware thread. The calling thread participates
+/// in parallel_for, so N lanes need N−1 workers, and a single lane needs
+/// no pool at all: null, which parallel_for runs sequentially.
+[[nodiscard]] std::unique_ptr<ThreadPool> make_lane_pool(
+    std::size_t parallelism);
 
 }  // namespace ddc::exec

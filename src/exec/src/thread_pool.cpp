@@ -34,6 +34,13 @@ std::size_t ThreadPool::hardware_threads() noexcept {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+std::unique_ptr<ThreadPool> make_lane_pool(std::size_t parallelism) {
+  const std::size_t lanes =
+      parallelism == 0 ? ThreadPool::hardware_threads() : parallelism;
+  if (lanes <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(lanes - 1);
+}
+
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;

@@ -6,6 +6,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include <ddc/common/assert.hpp>
@@ -14,6 +16,7 @@
 #include <ddc/gossip/classifier_node.hpp>
 #include <ddc/gossip/push_sum.hpp>
 #include <ddc/linalg/vector.hpp>
+#include <ddc/sim/topology.hpp>
 #include <ddc/stats/rng.hpp>
 
 namespace ddc::gossip {
@@ -39,14 +42,20 @@ struct NetworkConfig {
 }
 
 /// One GM node (paper Section 5) per input, each with its own derived RNG
-/// stream for EM restarts.
+/// stream for EM restarts. With `ids`, only those nodes are built, in
+/// that order. Every per-node stream derives from the GLOBAL id, so a
+/// node's randomness does not depend on which shard hosts it.
 [[nodiscard]] inline std::vector<GmNode> make_gm_nodes(
     const std::vector<linalg::Vector>& inputs, const NetworkConfig& config,
-    em::ReductionOptions reduction = {}) {
+    em::ReductionOptions reduction = {},
+    std::optional<std::span<const sim::NodeId>> ids = std::nullopt) {
   DDC_EXPECTS(!inputs.empty());
   std::vector<GmNode> nodes;
-  nodes.reserve(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
+  const std::size_t count = ids ? ids->size() : inputs.size();
+  nodes.reserve(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    const sim::NodeId i = ids ? (*ids)[k] : k;
+    DDC_EXPECTS(i < inputs.size());
     nodes.emplace_back(
         inputs[i],
         partition::EmPartition(stats::Rng::derive(config.seed, i), reduction),
@@ -55,13 +64,18 @@ struct NetworkConfig {
   return nodes;
 }
 
-/// One centroid node (paper Algorithm 2) per input.
+/// One centroid node (paper Algorithm 2) per input, or per id in `ids`
+/// (see make_gm_nodes).
 [[nodiscard]] inline std::vector<CentroidNode> make_centroid_nodes(
-    const std::vector<linalg::Vector>& inputs, const NetworkConfig& config) {
+    const std::vector<linalg::Vector>& inputs, const NetworkConfig& config,
+    std::optional<std::span<const sim::NodeId>> ids = std::nullopt) {
   DDC_EXPECTS(!inputs.empty());
   std::vector<CentroidNode> nodes;
-  nodes.reserve(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
+  const std::size_t count = ids ? ids->size() : inputs.size();
+  nodes.reserve(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    const sim::NodeId i = ids ? (*ids)[k] : k;
+    DDC_EXPECTS(i < inputs.size());
     nodes.emplace_back(
         inputs[i],
         partition::GreedyDistancePartition<summaries::CentroidPolicy>{},

@@ -114,9 +114,10 @@ make_dkmeans_round_runner(sim::Topology topology,
 // EngineConfig overloads — the factories re-expressed on the unified
 // configuration object. One EngineConfig carries what used to be four
 // loose pieces (NetworkConfig, runner options, topology parameters,
-// fault model); these overloads slice it for the classic runners and the
-// scale engine. `config.validate()` is the caller's responsibility (the
-// CLI layer validates at parse time).
+// fault model); these overloads slice it for the round runners and the
+// scale engine (the async runners take NetworkConfig and
+// AsyncRunnerOptions). `config.validate()` is the caller's
+// responsibility (the CLI layer validates at parse time).
 // ---------------------------------------------------------------------------
 
 [[nodiscard]] inline sim::RoundRunner<GmNode> make_gm_round_runner(
@@ -141,23 +142,6 @@ make_dkmeans_round_runner(sim::Topology topology,
     const sim::EngineConfig& config) {
   return make_push_sum_round_runner(std::move(topology), inputs,
                                     config.round_options());
-}
-
-[[nodiscard]] inline sim::AsyncRunner<GmNode> make_gm_async_runner(
-    sim::Topology topology, const std::vector<linalg::Vector>& inputs,
-    const sim::EngineConfig& config,
-    const em::ReductionOptions& reduction = {}) {
-  return make_gm_async_runner(std::move(topology), inputs,
-                              network_config(config), config.async_options(),
-                              reduction);
-}
-
-[[nodiscard]] inline sim::AsyncRunner<CentroidNode> make_centroid_async_runner(
-    sim::Topology topology, const std::vector<linalg::Vector>& inputs,
-    const sim::EngineConfig& config) {
-  return make_centroid_async_runner(std::move(topology), inputs,
-                                    network_config(config),
-                                    config.async_options());
 }
 
 [[nodiscard]] inline sim::SoaRoundEngine<GmScaleProtocol> make_gm_scale_engine(

@@ -1,11 +1,11 @@
 // Factory helpers for sharded runs, mirroring gossip/runners.hpp.
 //
-// The node-construction discipline is the load-bearing part: a shard
-// builds ONLY its owned range, but every per-node stream derives from
-// the protocol seed by GLOBAL node id — exactly what
-// gossip::make_*_nodes does for the monolithic engines — so a node's
-// randomness does not depend on which shard hosts it, and the
-// equivalence matrix (1 vs S shards) can demand bit-identical states.
+// A shard builds ONLY its owned set, through the same
+// gossip::make_*_nodes the monolithic engines use, restricted to
+// map.owned(s). Those builders derive every per-node stream from the
+// protocol seed by GLOBAL node id, so a node's randomness does not
+// depend on which shard hosts it, and the equivalence matrix (1 vs S
+// shards) can demand bit-identical states.
 #pragma once
 
 #include <utility>
@@ -37,49 +37,8 @@ using CentroidShardCluster = ShardCluster<gossip::CentroidNode, CentroidCodec>;
 [[nodiscard]] inline ShardEngineOptions shard_options(
     const sim::EngineConfig& config) {
   ShardEngineOptions options;
-  options.selection = config.selection;
-  options.pattern = config.pattern;
-  options.seed = config.seed;
-  options.crash_probability = config.faults.crash_probability;
-  options.crash_send_policy = config.faults.crash_send_policy;
-  options.message_loss_probability = config.faults.message_loss_probability;
-  options.parallelism = config.parallelism;
+  static_cast<sim::RoundRunnerOptions&>(options) = config.round_options();
   return options;
-}
-
-/// GM nodes for the owned set map.owned(s) of a global input set, with
-/// per-node streams derived by global id.
-[[nodiscard]] inline std::vector<gossip::GmNode> make_gm_shard_nodes(
-    const std::vector<linalg::Vector>& inputs,
-    const gossip::NetworkConfig& net, const ShardMap& map, ShardId s,
-    em::ReductionOptions reduction = {}) {
-  DDC_EXPECTS(inputs.size() == map.num_nodes());
-  std::vector<gossip::GmNode> nodes;
-  nodes.reserve(map.size(s));
-  for (const sim::NodeId i : map.owned(s)) {
-    nodes.emplace_back(
-        inputs[i],
-        partition::EmPartition(stats::Rng::derive(net.seed, i), reduction),
-        gossip::node_options(net, i, inputs.size()));
-  }
-  return nodes;
-}
-
-/// Centroid nodes for the owned set (see make_gm_shard_nodes).
-[[nodiscard]] inline std::vector<gossip::CentroidNode>
-make_centroid_shard_nodes(const std::vector<linalg::Vector>& inputs,
-                          const gossip::NetworkConfig& net, const ShardMap& map,
-                          ShardId s) {
-  DDC_EXPECTS(inputs.size() == map.num_nodes());
-  std::vector<gossip::CentroidNode> nodes;
-  nodes.reserve(map.size(s));
-  for (const sim::NodeId i : map.owned(s)) {
-    nodes.emplace_back(
-        inputs[i],
-        partition::GreedyDistancePartition<summaries::CentroidPolicy>{},
-        gossip::node_options(net, i, inputs.size()));
-  }
-  return nodes;
 }
 
 /// Exchange-pacing and partitioning knobs an engine factory copies out
@@ -106,13 +65,14 @@ make_centroid_shard_nodes(const std::vector<linalg::Vector>& inputs,
     const sim::EngineConfig& config, ShardId shard_id, ShardId num_shards,
     net::Transport* transport, ShardEngineOptions options_override = {},
     const em::ReductionOptions& reduction = {}) {
+  DDC_EXPECTS(inputs.size() == topology.num_nodes());
   const ShardMap map =
       ShardMap::make(options_override.partitioner, topology, num_shards);
   ShardEngineOptions options = merge_exchange_options(config, options_override);
   return GmShardEngine(
       std::move(topology), map, shard_id,
-      make_gm_shard_nodes(inputs, gossip::network_config(config), map,
-                          shard_id, reduction),
+      gossip::make_gm_nodes(inputs, gossip::network_config(config), reduction,
+                            map.owned(shard_id)),
       transport, std::move(options));
 }
 
@@ -121,13 +81,14 @@ make_centroid_shard_nodes(const std::vector<linalg::Vector>& inputs,
     sim::Topology topology, const std::vector<linalg::Vector>& inputs,
     const sim::EngineConfig& config, ShardId shard_id, ShardId num_shards,
     net::Transport* transport, ShardEngineOptions options_override = {}) {
+  DDC_EXPECTS(inputs.size() == topology.num_nodes());
   const ShardMap map =
       ShardMap::make(options_override.partitioner, topology, num_shards);
   ShardEngineOptions options = merge_exchange_options(config, options_override);
   return CentroidShardEngine(
       std::move(topology), map, shard_id,
-      make_centroid_shard_nodes(inputs, gossip::network_config(config), map,
-                                shard_id),
+      gossip::make_centroid_nodes(inputs, gossip::network_config(config),
+                                  map.owned(shard_id)),
       transport, std::move(options));
 }
 

@@ -26,12 +26,12 @@
 // UDP run of the same EngineConfig produce bit-identical node states.
 // The argument (DESIGN.md "Sharded cluster engine"):
 //
-//  * Every environment draw (neighbor selection, crash bernoullis) is
-//    replayed IDENTICALLY on every shard: each engine carries the full
-//    global alive vector and selector state and walks all n nodes in
-//    the plan/crash phases, consuming exactly RoundRunner's draws. The
-//    alive vector evolves as a pure function of the seed, so replicas
-//    never diverge.
+//  * Every environment draw (neighbor selection, crash draws) is
+//    replayed IDENTICALLY on every shard: each engine holds a full
+//    sim::RoundPlan (global alive vector, selector state, environment
+//    stream) and plans all n nodes, consuming exactly RoundRunner's
+//    draws. The alive vector evolves as a pure function of the seed, so
+//    replicas never diverge.
 //  * Node-local randomness derives from the protocol seed by GLOBAL
 //    node id (gossip::make_*_nodes discipline), so a node's stream does
 //    not depend on which shard hosts it.
@@ -66,26 +66,20 @@
 #include <ddc/net/transport.hpp>
 #include <ddc/shard/shard_map.hpp>
 #include <ddc/sim/gossip_node.hpp>
-#include <ddc/sim/neighbor_selection.hpp>
+#include <ddc/sim/round_plan.hpp>
 #include <ddc/sim/topology.hpp>
 #include <ddc/stats/rng.hpp>
 #include <ddc/wire/framing.hpp>
 
 namespace ddc::shard {
 
-/// Configuration of a shard engine. The simulation fields mirror
-/// RoundRunnerOptions; the exchange fields pace the batch protocol in
-/// transport polls (poll = one try_complete_round() that did not finish
-/// the round).
-struct ShardEngineOptions : sim::CommonRunnerOptions {
-  double crash_probability = 0.0;
-  sim::CrashSendPolicy crash_send_policy = sim::CrashSendPolicy::avoid_crashed;
-  /// Per-message loss verdicts are hashed from (seed, round, initiator,
-  /// direction) — see the determinism note in the header comment.
-  double message_loss_probability = 0.0;
-  /// Worker threads for the owned range's prepare/absorb phases
-  /// (1 sequential, 0 hardware concurrency; bit-identical either way).
-  std::size_t parallelism = 1;
+/// Configuration of a shard engine. The simulation fields are
+/// RoundRunnerOptions' (parallelism covers the owned range's
+/// prepare/absorb phases; loss verdicts are hashed from (seed, round,
+/// initiator, direction) — see the determinism note in the header
+/// comment). The exchange fields pace the batch protocol in transport
+/// polls (poll = one try_complete_round() that did not finish the round).
+struct ShardEngineOptions : sim::RoundRunnerOptions {
   /// Unacked batches are retransmitted every this many polls.
   std::size_t resend_interval_polls = 64;
   /// After this many polls without a peer's batch or ack, the whole peer
@@ -151,17 +145,14 @@ class ShardEngine {
         shard_(shard_id),
         nodes_(std::move(owned_nodes)),
         options_(std::move(options)),
-        env_rng_(stats::Rng::derive(options_.seed, 0x524e445255ULL)),
+        plan_(map_.num_nodes(), options_),
         loss_seed_(stats::derive_seed(options_.seed, 0x4c4f5353ULL)),
         transport_(transport),
-        alive_(map_.num_nodes(), true),
-        selector_(options_.selection, map_.num_nodes()),
-        targets_(map_.num_nodes()),
-        reply_requests_(map_.num_nodes()),
         replies_(map_.num_nodes()),
         outbox_(nodes_.size()),
         inbox_(nodes_.size()),
-        peers_(map_.num_shards()) {
+        peers_(map_.num_shards()),
+        pool_(exec::make_lane_pool(options_.parallelism)) {
     DDC_EXPECTS(shard_ < map_.num_shards());
     DDC_EXPECTS(topology_.num_nodes() == map_.num_nodes());
     DDC_EXPECTS(nodes_.size() == map_.size(shard_));
@@ -169,16 +160,8 @@ class ShardEngine {
                 (transport_ != nullptr &&
                  transport_->num_peers() == map_.num_shards() &&
                  transport_->self() == shard_));
-    DDC_EXPECTS(options_.crash_probability >= 0.0 &&
-                options_.crash_probability <= 1.0);
     DDC_EXPECTS(options_.message_loss_probability >= 0.0 &&
                 options_.message_loss_probability <= 1.0);
-    const std::size_t threads = options_.parallelism == 0
-                                    ? exec::ThreadPool::hardware_threads()
-                                    : options_.parallelism;
-    if (threads > 1) {
-      pool_ = std::make_unique<exec::ThreadPool>(threads - 1);
-    }
     stats_.cut_edges = map_.cut_edges(topology_, shard_);
   }
 
@@ -188,7 +171,7 @@ class ShardEngine {
   // ddcverify: hotpath
   void begin_round() {
     DDC_EXPECTS(!round_open_);
-    plan_targets();
+    plan_.plan(topology_);  // phase 1, global
     classify_boundary();
     const std::size_t n = map_.num_nodes();
     for (sim::NodeId i = 0; i < n; ++i) replies_[i].reset();
@@ -228,7 +211,7 @@ class ShardEngine {
     }
     deliver_messages();
     absorb_inboxes();
-    apply_crashes();
+    plan_.crash();  // phase 5, global
     // Retire this round's exchange state BEFORE advancing the round
     // counter, so batches for the next round arriving early (via
     // service() between rounds, or the next round's polls) land in a
@@ -280,14 +263,9 @@ class ShardEngine {
     return stats_;
   }
 
-  [[nodiscard]] bool alive(sim::NodeId i) const {
-    DDC_EXPECTS(i < alive_.size());
-    return alive_[i];
-  }
+  [[nodiscard]] bool alive(sim::NodeId i) const { return plan_.alive(i); }
   [[nodiscard]] std::size_t alive_count() const noexcept {
-    std::size_t count = 0;
-    for (const bool a : alive_) count += a ? 1 : 0;
-    return count;
+    return plan_.alive_count();
   }
   /// False once `s` timed out of the barrier (cleared if it resurfaces).
   [[nodiscard]] bool peer_shard_alive(ShardId s) const {
@@ -321,12 +299,6 @@ class ShardEngine {
     bool dead = false;
   };
 
-  [[nodiscard]] bool sends_data() const noexcept {
-    return options_.pattern != sim::GossipPattern::pull;
-  }
-  [[nodiscard]] bool wants_reply() const noexcept {
-    return options_.pattern != sim::GossipPattern::push;
-  }
   [[nodiscard]] bool owns(sim::NodeId i) const {
     return map_.shard_of(i) == shard_;
   }
@@ -347,26 +319,6 @@ class ShardEngine {
     return draw.bernoulli(options_.message_loss_probability);
   }
 
-  /// Phase 1 — RoundRunner::plan_targets, replayed over ALL n nodes so
-  /// every shard consumes the identical environment draws.
-  void plan_targets() {
-    const bool replies = wants_reply();
-    const std::size_t n = map_.num_nodes();
-    for (sim::NodeId i = 0; i < n; ++i) {
-      targets_[i].reset();
-      if (replies) reply_requests_[i].clear();
-    }
-    for (sim::NodeId i = 0; i < n; ++i) {
-      if (!alive_[i]) continue;
-      const bool avoid =
-          options_.crash_send_policy == sim::CrashSendPolicy::avoid_crashed;
-      targets_[i] = selector_.pick(topology_, i, alive_, avoid, env_rng_);
-      if (replies && targets_[i] && alive_[*targets_[i]]) {
-        reply_requests_[*targets_[i]].push_back(i);
-      }
-    }
-  }
-
   /// Splits the owned nodes into boundary (this round's plan moves one
   /// of their messages across a shard edge: an outbound forward, or a
   /// reply owed to a remote initiator) and interior. Boundary nodes are
@@ -376,16 +328,17 @@ class ShardEngine {
     boundary_js_.clear();
     interior_js_.clear();
     const bool multi = map_.num_shards() > 1;
-    const bool sends = sends_data();
-    const bool replies = wants_reply();
+    const bool sends = plan_.sends_data();
+    const bool replies = plan_.wants_reply();
     const std::span<const sim::NodeId> owned = map_.owned(shard_);
     for (std::size_t j = 0; j < owned.size(); ++j) {
       const sim::NodeId g = owned[j];
       bool boundary = false;
       if (multi) {
-        if (sends && targets_[g] && !owns(*targets_[g])) boundary = true;
+        const std::optional<sim::NodeId> target = plan_.target(g);
+        if (sends && target && !owns(*target)) boundary = true;
         if (!boundary && replies) {
-          for (const sim::NodeId r : reply_requests_[g]) {
+          for (const sim::NodeId r : plan_.requesters(g)) {
             if (!owns(r)) {
               boundary = true;
               break;
@@ -399,29 +352,30 @@ class ShardEngine {
   }
 
   /// Phase 2 — RoundRunner::prepare_messages restricted to the given
-  /// owned local indices. reply_requests_ is global, so an owned
+  /// owned local indices. The plan's reply requests are global, so an owned
   /// responder interleaves its own send between lower- and
   /// higher-indexed initiators exactly as the monolithic engine would,
   /// remote initiators included. Per-node draws are node-local, so any
   /// split of the owned set into prepare_nodes calls is bit-identical.
   void prepare_nodes(std::span<const std::size_t> js) {
-    const bool sends = sends_data();
-    const bool replies = wants_reply();
+    const bool sends = plan_.sends_data();
+    const bool replies = plan_.wants_reply();
     const std::span<const sim::NodeId> owned = map_.owned(shard_);
     exec::parallel_for(pool_.get(), js.size(), [&](std::size_t idx) {
       const std::size_t j = js[idx];
       const sim::NodeId g = owned[j];
+      const bool has_target = plan_.target(g).has_value();
       if (replies) {
-        const std::vector<sim::NodeId>& requests = reply_requests_[g];
+        const std::span<const sim::NodeId> requests = plan_.requesters(g);
         std::size_t r = 0;
         for (; r < requests.size() && requests[r] < g; ++r) {
           replies_[requests[r]] = nodes_[j].prepare_message();
         }
-        if (sends && targets_[g]) outbox_[j] = nodes_[j].prepare_message();
+        if (sends && has_target) outbox_[j] = nodes_[j].prepare_message();
         for (; r < requests.size(); ++r) {
           replies_[requests[r]] = nodes_[j].prepare_message();
         }
-      } else if (targets_[g]) {
+      } else if (has_target) {
         outbox_[j] = nodes_[j].prepare_message();
       }
     });
@@ -433,8 +387,8 @@ class ShardEngine {
   /// — they are global functions, so the receiver would agree.
   void send_batches() {
     if (map_.num_shards() == 1) return;
-    const bool sends = sends_data();
-    const bool replies = wants_reply();
+    const bool sends = plan_.sends_data();
+    const bool replies = plan_.wants_reply();
     // Reused member scratch (hot-path-alloc): the outer vectors keep
     // their capacity across rounds; `encoded` keeps payloads alive
     // until the per-peer frames are built below.
@@ -445,11 +399,13 @@ class ShardEngine {
     for (std::vector<wire::BatchRecord>& records : outgoing) records.clear();
     const std::size_t n = map_.num_nodes();
     for (sim::NodeId i = 0; i < n; ++i) {
-      if (!alive_[i] || !targets_[i]) continue;
-      const sim::NodeId t = *targets_[i];
+      if (!plan_.alive(i)) continue;
+      const std::optional<sim::NodeId> target = plan_.target(i);
+      if (!target) continue;
+      const sim::NodeId t = *target;
       if (sends && owns(i) && !owns(t)) {
         const std::optional<Message>& msg = outbox_[local(i)];
-        if (msg && !msg->empty() && alive_[t] &&
+        if (msg && !msg->empty() && plan_.alive(t) &&
             !channel_drops(i, wire::BatchTag::forward)) {
           encoded.push_back(Codec::encode(*msg));
           outgoing[map_.shard_of(t)].push_back(
@@ -662,8 +618,8 @@ class ShardEngine {
   /// the peers' batches, slotted into their planned positions (forward
   /// keyed by initiator, reply keyed by the initiator it answers).
   void deliver_messages() {
-    const bool sends = sends_data();
-    const bool replies = wants_reply();
+    const bool sends = plan_.sends_data();
+    const bool replies = plan_.wants_reply();
     for (std::size_t j = 0; j < nodes_.size(); ++j) inbox_[j].clear();
     // Planned-position index over the stored records of every peer.
     const std::size_t n = map_.num_nodes();
@@ -682,12 +638,14 @@ class ShardEngine {
       }
     }
     for (sim::NodeId i = 0; i < n; ++i) {
-      if (!alive_[i] || !targets_[i]) continue;
-      const sim::NodeId t = *targets_[i];
+      if (!plan_.alive(i)) continue;
+      const std::optional<sim::NodeId> target = plan_.target(i);
+      if (!target) continue;
+      const sim::NodeId t = *target;
       if (sends && owns(t)) {
         if (owns(i)) {
           std::optional<Message>& msg = outbox_[local(i)];
-          if (msg && !msg->empty() && alive_[t] &&
+          if (msg && !msg->empty() && plan_.alive(t) &&
               !channel_drops(i, wire::BatchTag::forward)) {
             inbox_[local(t)].push_back(std::move(*msg));
           }
@@ -696,7 +654,7 @@ class ShardEngine {
           deliver_record(*rec);
         }
       }
-      if (replies && owns(i) && targets_[i]) {
+      if (replies && owns(i)) {
         if (owns(t)) {
           std::optional<Message>& msg = replies_[i];
           if (msg && !msg->empty() &&
@@ -717,7 +675,7 @@ class ShardEngine {
       if (s == shard_) continue;
       for (StoredRecord& rec : peers_[s].records) {
         if (!rec.consumed && rec.dst < n && owns(rec.dst) &&
-            alive_[rec.dst]) {
+            plan_.alive(rec.dst)) {
           leftovers_.push_back(&rec);
         }
       }
@@ -746,22 +704,10 @@ class ShardEngine {
   void absorb_inboxes() {
     const std::span<const sim::NodeId> owned = map_.owned(shard_);
     exec::parallel_for(pool_.get(), nodes_.size(), [&](std::size_t j) {
-      if (alive_[owned[j]] && !inbox_[j].empty()) {
+      if (plan_.alive(owned[j]) && !inbox_[j].empty()) {
         nodes_[j].absorb(std::move(inbox_[j]));
       }
     });
-  }
-
-  /// Phase 5 — RoundRunner::apply_crashes replayed over ALL n nodes;
-  /// the global alive vector stays a pure function of the seed.
-  void apply_crashes() {
-    if (options_.crash_probability <= 0.0) return;
-    const std::size_t n = map_.num_nodes();
-    for (sim::NodeId i = 0; i < n; ++i) {
-      if (alive_[i] && env_rng_.bernoulli(options_.crash_probability)) {
-        alive_[i] = false;
-      }
-    }
   }
 
   sim::Topology topology_;
@@ -769,14 +715,11 @@ class ShardEngine {
   ShardId shard_;
   std::vector<Node> nodes_;
   ShardEngineOptions options_;
-  stats::Rng env_rng_;
+  // Phases 1 and 5, replayed over ALL n nodes on every shard.
+  sim::RoundPlan plan_;
   std::uint64_t loss_seed_;
   net::Transport* transport_;
-  std::vector<bool> alive_;
-  sim::NeighborSelector selector_;
-  // Global per-round plan (replayed on every shard).
-  std::vector<std::optional<sim::NodeId>> targets_;
-  std::vector<std::vector<sim::NodeId>> reply_requests_;
+  // Replies keyed by global initiator id.
   std::vector<std::optional<Message>> replies_;
   // Owned-range scratch.
   std::vector<std::optional<Message>> outbox_;

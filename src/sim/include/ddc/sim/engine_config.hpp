@@ -5,13 +5,13 @@
 // AsyncRunnerOptions struct, a gossip::NetworkConfig, and ad-hoc flag
 // parsing to fill them. EngineConfig subsumes all of it — the shared
 // gossip options (it extends CommonRunnerOptions), a declarative topology
-// spec, the fault model, parallelism, and the engine/backend choice — so
-// every consumer migrates through one seam:
+// spec, the fault model and parallelism — so every consumer migrates
+// through one seam:
 //
 //   sim::EngineConfig config;
 //   config.topology = {sim::TopologyFamily::geometric, 100'000};
-//   config.backend = sim::EngineBackend::soa;
-//   auto engine = gossip::make_centroid_scale_engine(config, inputs);
+//   auto engine = gossip::make_centroid_scale_engine(
+//       config.build_topology(rng), inputs, config);
 //
 // The runner factories in gossip/runners.hpp are re-expressed on top of
 // this type; cli::parse_engine_config builds one from command-line flags.
@@ -22,7 +22,6 @@
 #include <string>
 
 #include <ddc/linalg/simd.hpp>
-#include <ddc/sim/async_runner.hpp>
 #include <ddc/sim/gossip_node.hpp>
 #include <ddc/sim/round_runner.hpp>
 #include <ddc/sim/topology.hpp>
@@ -86,37 +85,6 @@ struct FaultModel {
   double message_loss_probability = 0.0;
 };
 
-/// Which driver executes the run.
-enum class EngineMode {
-  round,  ///< synchronous rounds (the paper's measurement methodology)
-  async,  ///< event-driven, arbitrary delays (the convergence model)
-};
-
-/// Which node-state representation backs the run.
-enum class EngineBackend {
-  /// One heap-allocated protocol object per node (RoundRunner /
-  /// AsyncRunner). Right for ≤ ~10k nodes and for protocols without
-  /// scale-engine traits.
-  object,
-  /// Struct-of-arrays pools + message arenas (SoaRoundEngine). Bit-
-  /// identical to `object` for supported protocols; built for 10⁵–10⁶
-  /// nodes. Round mode only.
-  soa,
-  /// `soa` when the run qualifies (round mode, ≥ soa_threshold nodes),
-  /// else `object`.
-  auto_select,
-};
-
-/// Timing parameters of the async engine (EngineMode::async only).
-struct AsyncTiming {
-  /// Mean interval between a node's gossip emissions; actual intervals
-  /// are uniform in [0.5, 1.5]× this, independently per node per tick.
-  double mean_tick_interval = 1.0;
-  /// Message delays are uniform in [min_delay, max_delay].
-  double min_delay = 0.05;
-  double max_delay = 2.0;
-};
-
 /// One configuration object for a whole simulation. Extends
 /// CommonRunnerOptions, so the shared gossip knobs (selection, pattern,
 /// environment seed) are this object's own fields.
@@ -130,11 +98,6 @@ struct EngineConfig : CommonRunnerOptions {
   /// Worker threads for the parallel phases: 1 = fully sequential, 0 =
   /// one per hardware thread. Results are identical at any setting.
   std::size_t parallelism = 1;
-  EngineMode mode = EngineMode::round;
-  EngineBackend backend = EngineBackend::auto_select;
-  /// Node count at which auto_select switches to the SoA backend.
-  std::size_t soa_threshold = 16384;
-  AsyncTiming async;
 
   // Protocol-layer parameters (the classifier nodes' NetworkConfig).
   /// Max collections per node (the paper's k).
@@ -147,18 +110,14 @@ struct EngineConfig : CommonRunnerOptions {
   /// and seed = --seed + 1.
   std::uint64_t protocol_seed = 1;
 
-  /// Engine options sliced out for the classic runners.
+  /// Engine options sliced out for the round engines.
   [[nodiscard]] RoundRunnerOptions round_options() const;
-  [[nodiscard]] AsyncRunnerOptions async_options() const;
 
   /// Builds the configured topology (see TopologySpec::build).
   [[nodiscard]] Topology build_topology(stats::Rng& rng) const;
 
-  /// Resolves `backend` for this configuration.
-  [[nodiscard]] bool use_soa() const noexcept;
-
   /// Throws ddc::ConfigError on out-of-range values (probabilities,
-  /// nodes < 2, k = 0, unsupported mode/backend combinations).
+  /// nodes < 2, k = 0, unsupported SIMD mode).
   void validate() const;
 };
 

@@ -20,7 +20,8 @@
 namespace ddc::sim {
 
 /// Picks gossip targets for the nodes of one topology. Stateful only for
-/// round-robin (one cursor per node).
+/// round-robin (one cursor per node); uniform_random keeps a scratch
+/// buffer, so one selector must not pick from two threads at once.
 class NeighborSelector {
  public:
   NeighborSelector(NeighborSelection selection, std::size_t num_nodes)
@@ -30,6 +31,7 @@ class NeighborSelector {
   /// is set, dead neighbors (per `alive`) are skipped; returns nullopt
   /// when every eligible neighbor is dead. Draws from `rng` only for
   /// uniform_random selection — round-robin consumes no randomness.
+  // ddcverify: hotpath
   [[nodiscard]] std::optional<NodeId> pick(const Topology& topology, NodeId i,
                                            const std::vector<bool>& alive,
                                            bool avoid, stats::Rng& rng) {
@@ -47,13 +49,12 @@ class NeighborSelector {
       }
       case NeighborSelection::uniform_random: {
         if (!avoid) return nbrs[rng.uniform_index(nbrs.size())];
-        std::vector<NodeId> live;
-        live.reserve(nbrs.size());
+        live_.clear();
         for (const NodeId t : nbrs) {
-          if (alive[t]) live.push_back(t);
+          if (alive[t]) live_.push_back(t);
         }
-        if (live.empty()) return std::nullopt;
-        return live[rng.uniform_index(live.size())];
+        if (live_.empty()) return std::nullopt;
+        return live_[rng.uniform_index(live_.size())];
       }
     }
     DDC_ASSERT(false);
@@ -63,6 +64,8 @@ class NeighborSelector {
  private:
   NeighborSelection selection_;
   std::vector<std::size_t> rr_position_;
+  // pick()'s live-neighbor list, reused across calls (hot-path-alloc).
+  std::vector<NodeId> live_;
 };
 
 }  // namespace ddc::sim

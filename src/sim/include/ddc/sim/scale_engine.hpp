@@ -22,7 +22,8 @@
 // object engine runs); per node the engine rehydrates the scratch from
 // the pools, runs the unmodified split/receive kernels, and writes the
 // state back. Round structure, draw order (selection, loss, crash) and
-// per-node call order replicate RoundRunner phase for phase:
+// per-node call order replicate RoundRunner phase for phase; phases 1
+// and 5 run through the same RoundPlan class:
 //
 //   1. plan     (sequential)  selection draws, reply bookkeeping
 //   2. prepare  (parallel)    splits into the slot arena
@@ -56,6 +57,8 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -64,7 +67,7 @@
 #include <ddc/exec/parallel_for.hpp>
 #include <ddc/exec/thread_pool.hpp>
 #include <ddc/sim/gossip_node.hpp>
-#include <ddc/sim/neighbor_selection.hpp>
+#include <ddc/sim/round_plan.hpp>
 #include <ddc/sim/round_runner.hpp>
 #include <ddc/sim/topology.hpp>
 #include <ddc/stats/rng.hpp>
@@ -87,30 +90,23 @@ class SoaRoundEngine {
       : topology_(std::move(topology)),
         protocol_(std::move(protocol)),
         options_(options),
-        env_rng_(stats::Rng::derive(options.seed, 0x524e445255ULL)),
-        loss_rng_(stats::Rng::derive(options.seed, 0x4c4f5353ULL)),
         n_(topology_.num_nodes()),
         k_(protocol_.k()),
         sd_(protocol_.summary_doubles()),
-        alive_(n_, true),
-        selector_(options.selection, n_),
+        plan_(n_, options_),
+        loss_rng_(stats::Rng::derive(options.seed, 0x4c4f5353ULL)),
         counts_(n_, 1),
         weights_(n_ * k_, 0),
         summaries_(n_ * k_ * sd_, 0.0),
-        targets_(n_, kNoTarget),
-        req_counts_(n_, 0),
-        req_offsets_(n_ + 1, 0),
-        req_initiators_(n_, 0),
         slot_counts_(2 * n_, 0),
         slot_weights_(2 * n_ * k_, 0),
         slot_summaries_(2 * n_ * k_ * sd_, 0.0),
         inbox_counts_(n_, 0),
-        inbox_offsets_(n_ + 1, 0) {
+        inbox_offsets_(n_ + 1, 0),
+        pool_(exec::make_lane_pool(options_.parallelism)) {
     DDC_EXPECTS(n_ >= 2);
     DDC_EXPECTS(k_ >= 1);
     DDC_EXPECTS(sd_ >= 1);
-    DDC_EXPECTS(options_.crash_probability >= 0.0 &&
-                options_.crash_probability <= 1.0);
     DDC_EXPECTS(options_.message_loss_probability >= 0.0 &&
                 options_.message_loss_probability <= 1.0);
     for (NodeId i = 0; i < n_; ++i) {
@@ -120,12 +116,6 @@ class SoaRoundEngine {
     if constexpr (Protocol::has_node_rng) {
       rngs_.reserve(n_);
       for (NodeId i = 0; i < n_; ++i) rngs_.push_back(protocol_.initial_rng(i));
-    }
-    const std::size_t threads = options_.parallelism == 0
-                                    ? exec::ThreadPool::hardware_threads()
-                                    : options_.parallelism;
-    if (threads > 1) {
-      pool_ = std::make_unique<exec::ThreadPool>(threads - 1);
     }
     const std::size_t chunks = exec::parallel_chunk_count(pool_.get(), n_);
     scratch_.reserve(chunks);
@@ -139,7 +129,7 @@ class SoaRoundEngine {
   /// as RoundRunner<Node>::run_round.
   // ddcverify: hotpath
   void run_round() {
-    plan_targets();
+    plan_.plan(topology_);  // phase 1
     // Audited timing probes (as in RoundRunner): the clock reads feed the
     // `--timing` counters only, never control flow.
     const auto t_prepare = std::chrono::steady_clock::now();  // ddcverify: allow(wall-clock)
@@ -154,7 +144,7 @@ class SoaRoundEngine {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -  // ddcverify: allow(wall-clock)
                                       t_absorb)
             .count();
-    apply_crashes();
+    plan_.crash();  // phase 5
     ++round_;
   }
 
@@ -169,14 +159,9 @@ class SoaRoundEngine {
     return timings_;
   }
 
-  [[nodiscard]] bool alive(NodeId i) const {
-    DDC_EXPECTS(i < n_);
-    return alive_[i];
-  }
+  [[nodiscard]] bool alive(NodeId i) const { return plan_.alive(i); }
   [[nodiscard]] std::size_t alive_count() const noexcept {
-    std::size_t count = 0;
-    for (const bool a : alive_) count += a ? 1 : 0;
-    return count;
+    return plan_.alive_count();
   }
 
   /// Node i's classification, rehydrated from the pools. O(k) — intended
@@ -234,79 +219,35 @@ class SoaRoundEngine {
   }
 
  private:
-  static constexpr NodeId kNoTarget = static_cast<NodeId>(-1);
-
-  [[nodiscard]] bool sends_data() const noexcept {
-    return options_.pattern != GossipPattern::pull;
-  }
-  [[nodiscard]] bool wants_reply() const noexcept {
-    return options_.pattern != GossipPattern::push;
-  }
-
-  /// Phase 1 — mirrors RoundRunner::plan_targets draw for draw, then
-  /// lowers the per-target request lists into a CSR (the counting sort
-  /// fills ascending by initiator, reproducing push_back order).
-  void plan_targets() {
-    const bool replies = wants_reply();
-    const bool avoid =
-        options_.crash_send_policy == CrashSendPolicy::avoid_crashed;
-    std::fill(targets_.begin(), targets_.end(), kNoTarget);
-    if (replies) {
-      std::fill(req_counts_.begin(), req_counts_.end(), std::size_t{0});
-    }
-    for (NodeId i = 0; i < n_; ++i) {
-      if (!alive_[i]) continue;
-      const std::optional<NodeId> target =
-          selector_.pick(topology_, i, alive_, avoid, env_rng_);
-      if (!target) continue;
-      targets_[i] = *target;
-      // A crashed contact cannot answer (reachable only under
-      // drop_at_crashed); the request simply vanishes.
-      if (replies && alive_[*target]) ++req_counts_[*target];
-    }
-    if (replies) {
-      req_offsets_[0] = 0;
-      for (NodeId j = 0; j < n_; ++j) {
-        req_offsets_[j + 1] = req_offsets_[j] + req_counts_[j];
-      }
-      for (NodeId j = 0; j < n_; ++j) req_counts_[j] = req_offsets_[j];
-      for (NodeId i = 0; i < n_; ++i) {
-        const NodeId target = targets_[i];
-        if (target == kNoTarget || !alive_[target]) continue;
-        req_initiators_[req_counts_[target]++] = i;
-      }
-    }
-  }
-
   /// Phase 2 — parallel splits into the slot arena. Each chunk's scratch
   /// classifier serves its nodes one after another; per node the split
   /// order (replies to lower-indexed initiators, own send, replies to
   /// higher-indexed ones) matches RoundRunner::prepare_messages exactly.
   void prepare_messages() {
-    const bool sends = sends_data();
-    const bool replies = wants_reply();
+    const bool sends = plan_.sends_data();
+    const bool replies = plan_.wants_reply();
     std::fill(slot_counts_.begin(), slot_counts_.end(), std::uint32_t{0});
     exec::parallel_for_chunks(
         pool_.get(), n_,
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
           Classifier& scratch = scratch_[chunk];
           for (NodeId j = begin; j < end; ++j) {
+            const bool has_target = plan_.target(j).has_value();
             if (replies) {
-              const std::size_t rb = req_offsets_[j];
-              const std::size_t re = req_offsets_[j + 1];
-              const bool own_send = sends && targets_[j] != kNoTarget;
-              if (rb == re && !own_send) continue;
+              const std::span<const NodeId> requests = plan_.requesters(j);
+              const bool own_send = sends && has_target;
+              if (requests.empty() && !own_send) continue;
               load_state(j, scratch);
-              std::size_t r = rb;
-              for (; r < re && req_initiators_[r] < j; ++r) {
-                emit(scratch.split(), n_ + req_initiators_[r]);
+              std::size_t r = 0;
+              for (; r < requests.size() && requests[r] < j; ++r) {
+                emit(scratch.split(), n_ + requests[r]);
               }
               if (own_send) emit(scratch.split(), j);
-              for (; r < re; ++r) {
-                emit(scratch.split(), n_ + req_initiators_[r]);
+              for (; r < requests.size(); ++r) {
+                emit(scratch.split(), n_ + requests[r]);
               }
               store_state(j, scratch);
-            } else if (targets_[j] != kNoTarget) {
+            } else if (has_target) {
               load_state(j, scratch);
               emit(scratch.split(), j);
               store_state(j, scratch);
@@ -320,15 +261,15 @@ class SoaRoundEngine {
   /// appear in delivery order, exactly like RoundRunner's inbox
   /// push_backs.
   void deliver_messages() {
-    const bool sends = sends_data();
-    const bool replies = wants_reply();
+    const bool sends = plan_.sends_data();
+    const bool replies = plan_.wants_reply();
     deliveries_.clear();
     for (NodeId i = 0; i < n_; ++i) {
-      if (!alive_[i]) continue;
-      const NodeId target = targets_[i];
-      if (target == kNoTarget) continue;
-      if (sends && slot_counts_[i] > 0) transmit(target, i);
-      if (replies && alive_[target] && slot_counts_[n_ + i] > 0) {
+      if (!plan_.alive(i)) continue;
+      const std::optional<NodeId> target = plan_.target(i);
+      if (!target) continue;
+      if (sends && slot_counts_[i] > 0) transmit(*target, i);
+      if (replies && plan_.alive(*target) && slot_counts_[n_ + i] > 0) {
         // The contacted neighbor answers with half of its own state.
         transmit(i, n_ + i);
       }
@@ -356,7 +297,7 @@ class SoaRoundEngine {
           for (NodeId i = begin; i < end; ++i) {
             const std::size_t ib = inbox_offsets_[i];
             const std::size_t ie = inbox_offsets_[i + 1];
-            if (!alive_[i] || ib == ie) continue;
+            if (!plan_.alive(i) || ib == ie) continue;
             load_state(i, scratch);
             if constexpr (Protocol::has_node_rng) {
               Protocol::node_rng(scratch) = rngs_[i];
@@ -374,20 +315,10 @@ class SoaRoundEngine {
         });
   }
 
-  /// Phase 5 — end-of-round crash draws, sequential.
-  void apply_crashes() {
-    if (options_.crash_probability <= 0.0) return;
-    for (NodeId i = 0; i < n_; ++i) {
-      if (alive_[i] && env_rng_.bernoulli(options_.crash_probability)) {
-        alive_[i] = false;
-      }
-    }
-  }
-
   /// Queues one non-empty message slot for delivery — the same
   /// dead-target / loss-draw sequence as RoundRunner::transmit.
   void transmit(NodeId to, std::size_t slot) {
-    if (!alive_[to]) return;  // packet to a dead mote (drop_at_crashed)
+    if (!plan_.alive(to)) return;  // packet to a dead mote (drop_at_crashed)
     if (options_.message_loss_probability > 0.0 &&
         loss_rng_.bernoulli(options_.message_loss_probability)) {
       return;
@@ -457,25 +388,17 @@ class SoaRoundEngine {
   Topology topology_;
   Protocol protocol_;
   RoundRunnerOptions options_;
-  stats::Rng env_rng_;
-  stats::Rng loss_rng_;
   std::size_t n_;
   std::size_t k_;
   std::size_t sd_;
-  std::vector<bool> alive_;
-  NeighborSelector selector_;
+  RoundPlan plan_;  // phases 1 and 5: the environment replay
+  stats::Rng loss_rng_;
 
   // Node-state pools. counts_[i] collections live at rows i·k … i·k+c.
   std::vector<std::uint32_t> counts_;
   std::vector<std::int64_t> weights_;
   std::vector<double> summaries_;
   std::vector<stats::Rng> rngs_;  // engaged iff Protocol::has_node_rng
-
-  // Per-round plan (sequential writes, parallel reads).
-  std::vector<NodeId> targets_;
-  std::vector<std::size_t> req_counts_;
-  std::vector<std::size_t> req_offsets_;
-  std::vector<NodeId> req_initiators_;
 
   // Message slot arena: slot i = node i's outgoing gossip, slot n+i =
   // the reply addressed to node i. Parallel writes hit disjoint slots.

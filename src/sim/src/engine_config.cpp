@@ -94,30 +94,8 @@ RoundRunnerOptions EngineConfig::round_options() const {
   return options;
 }
 
-AsyncRunnerOptions EngineConfig::async_options() const {
-  AsyncRunnerOptions options;
-  static_cast<CommonRunnerOptions&>(options) =
-      static_cast<const CommonRunnerOptions&>(*this);
-  options.mean_tick_interval = async.mean_tick_interval;
-  options.min_delay = async.min_delay;
-  options.max_delay = async.max_delay;
-  return options;
-}
-
 Topology EngineConfig::build_topology(stats::Rng& rng) const {
   return topology.build(rng);
-}
-
-bool EngineConfig::use_soa() const noexcept {
-  switch (backend) {
-    case EngineBackend::object:
-      return false;
-    case EngineBackend::soa:
-      return true;
-    case EngineBackend::auto_select:
-      return mode == EngineMode::round && topology.nodes >= soa_threshold;
-  }
-  return false;
 }
 
 void EngineConfig::validate() const {
@@ -142,15 +120,6 @@ void EngineConfig::validate() const {
   }
   if (k == 0) throw ConfigError("k must be ≥ 1");
   if (quanta_per_unit < 1) throw ConfigError("quanta_per_unit must be ≥ 1");
-  if (async.mean_tick_interval <= 0.0) {
-    throw ConfigError("async.mean_tick_interval must be > 0");
-  }
-  if (async.min_delay < 0.0 || async.min_delay > async.max_delay) {
-    throw ConfigError("async delays must satisfy 0 ≤ min_delay ≤ max_delay");
-  }
-  if (mode == EngineMode::async && backend == EngineBackend::soa) {
-    throw ConfigError("the SoA backend is round-mode only");
-  }
 }
 
 }  // namespace ddc::sim

@@ -28,7 +28,6 @@ TEST(EngineFlags, DefaultsReproduceDdcsimDefaults) {
   EXPECT_EQ(config.k, 2U);
   EXPECT_EQ(config.quanta_per_unit, std::int64_t{1} << 20);
   EXPECT_EQ(config.parallelism, 1U);
-  EXPECT_EQ(config.backend, sim::EngineBackend::auto_select);
   // The ddcsim seed split: protocol = --seed, environment = --seed + 1.
   EXPECT_EQ(config.protocol_seed, 1U);
   EXPECT_EQ(config.seed, 2U);
@@ -40,7 +39,7 @@ TEST(EngineFlags, ParsesTheFullFlagSurface) {
       {"--topology=geometric", "--nodes=5000", "--radius=0.05",
        "--pattern=pull", "--round-robin", "--crash-prob=0.05",
        "--loss-prob=0.1", "--threads=8", "--k=7", "--quanta-exp=16",
-       "--engine=soa", "--seed=42", "--timing"}));
+       "--seed=42", "--timing"}));
   const sim::EngineConfig config = parse_engine_config(flags);
   EXPECT_EQ(config.topology.family, sim::TopologyFamily::geometric);
   EXPECT_EQ(config.topology.nodes, 5000U);
@@ -52,7 +51,6 @@ TEST(EngineFlags, ParsesTheFullFlagSurface) {
   EXPECT_EQ(config.parallelism, 8U);
   EXPECT_EQ(config.k, 7U);
   EXPECT_EQ(config.quanta_per_unit, std::int64_t{1} << 16);
-  EXPECT_EQ(config.backend, sim::EngineBackend::soa);
   EXPECT_EQ(config.protocol_seed, 42U);
   EXPECT_EQ(config.seed, 43U);
   EXPECT_TRUE(timing_requested(flags));
@@ -83,11 +81,6 @@ TEST(EngineFlags, ValidationMirrorsDdcsim) {
   }
   {
     Flags flags = make_flags();
-    ASSERT_TRUE(flags.parse({"--engine=vroom"}));
-    EXPECT_THROW((void)parse_engine_config(flags), ConfigError);
-  }
-  {
-    Flags flags = make_flags();
     ASSERT_TRUE(flags.parse({"--pattern=sideways"}));
     EXPECT_THROW((void)parse_engine_config(flags), ConfigError);
   }
@@ -97,17 +90,15 @@ TEST(EngineFlags, DidYouMeanHintsSurviveTheSharedDeclarations) {
   Flags flags = make_flags();
   EXPECT_EQ(flags.suggest("topolgy").value_or(""), "topology");
   EXPECT_EQ(flags.suggest("thread").value_or(""), "threads");
-  EXPECT_EQ(flags.suggest("engin").value_or(""), "engine");
+  EXPECT_EQ(flags.suggest("patern").value_or(""), "pattern");
 }
 
 TEST(EngineFlags, DisabledGroupsKeepDefaultsAndStayUndeclared) {
   EngineFlagSet set;
   set.faults = false;
-  set.backend = false;
   set.timing = false;
   sim::EngineConfig defaults;
   defaults.faults.crash_probability = 0.25;  // kept verbatim
-  defaults.backend = sim::EngineBackend::object;
 
   Flags flags = make_flags(defaults, set);
   EXPECT_THROW((void)flags.parse({"--crash-prob=0.5"}), FlagError);
@@ -116,7 +107,6 @@ TEST(EngineFlags, DisabledGroupsKeepDefaultsAndStayUndeclared) {
   ASSERT_TRUE(clean.parse({"--nodes=64"}));
   const sim::EngineConfig config = parse_engine_config(clean, defaults, set);
   EXPECT_DOUBLE_EQ(config.faults.crash_probability, 0.25);
-  EXPECT_EQ(config.backend, sim::EngineBackend::object);
   EXPECT_EQ(config.topology.nodes, 64U);
   EXPECT_FALSE(timing_requested(clean));
 }

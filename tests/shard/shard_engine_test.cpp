@@ -305,10 +305,10 @@ TEST(ShardFaults, SilentPeerTimesOutAndLaggardRejoins) {
   options.resend_interval_polls = 8;
   options.max_exchange_polls = 64;
   CentroidShardEngine e0(topology, map, 0,
-                         make_centroid_shard_nodes(inputs, net_config, map, 0),
+                         make_centroid_nodes(inputs, net_config, map.owned(0)),
                          &fabric.endpoint(0), options);
   CentroidShardEngine e1(topology, map, 1,
-                         make_centroid_shard_nodes(inputs, net_config, map, 1),
+                         make_centroid_nodes(inputs, net_config, map.owned(1)),
                          &fabric.endpoint(1), options);
 
   // Round 0: healthy lockstep.

@@ -77,32 +77,6 @@ TEST(EngineConfig, RoundOptionsSliceCarriesEverything) {
   EXPECT_EQ(round.crash_send_policy, CrashSendPolicy::drop_at_crashed);
   EXPECT_DOUBLE_EQ(round.message_loss_probability, 0.1);
   EXPECT_EQ(round.parallelism, 4U);
-
-  config.async.mean_tick_interval = 2.0;
-  config.async.min_delay = 0.1;
-  config.async.max_delay = 1.5;
-  const AsyncRunnerOptions async = config.async_options();
-  EXPECT_EQ(async.selection, NeighborSelection::round_robin);
-  EXPECT_EQ(async.seed, 99U);
-  EXPECT_DOUBLE_EQ(async.mean_tick_interval, 2.0);
-  EXPECT_DOUBLE_EQ(async.min_delay, 0.1);
-  EXPECT_DOUBLE_EQ(async.max_delay, 1.5);
-}
-
-TEST(EngineConfig, BackendResolution) {
-  EngineConfig config;
-  config.topology.nodes = 200;
-  EXPECT_FALSE(config.use_soa());  // auto: below threshold
-  config.topology.nodes = 16384;
-  EXPECT_TRUE(config.use_soa());  // auto: at threshold
-  config.mode = EngineMode::async;
-  EXPECT_FALSE(config.use_soa());  // auto never picks soa for async
-  config.mode = EngineMode::round;
-  config.backend = EngineBackend::object;
-  EXPECT_FALSE(config.use_soa());
-  config.backend = EngineBackend::soa;
-  config.topology.nodes = 10;
-  EXPECT_TRUE(config.use_soa());  // explicit soa ignores the threshold
 }
 
 TEST(EngineConfig, ValidateRejectsBadValues) {
@@ -127,15 +101,6 @@ TEST(EngineConfig, ValidateRejectsBadValues) {
 
   bad = config;
   bad.quanta_per_unit = 0;
-  EXPECT_THROW(bad.validate(), ConfigError);
-
-  bad = config;
-  bad.async.min_delay = 3.0;  // > max_delay
-  EXPECT_THROW(bad.validate(), ConfigError);
-
-  bad = config;
-  bad.mode = EngineMode::async;
-  bad.backend = EngineBackend::soa;
   EXPECT_THROW(bad.validate(), ConfigError);
 }
 

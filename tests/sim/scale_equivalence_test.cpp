@@ -10,9 +10,9 @@
 //      topology families — the struct-of-arrays pools, message arena and
 //      scratch-classifier rehydration must not change a single mantissa
 //      bit relative to one-object-per-node execution.
-//   2. EngineConfig-built classic runners ≡ hand-assembled classic
-//      runners, for both {round, async} modes — the unified config
-//      object is a pure re-expression, not a new code path.
+//   2. EngineConfig-built round runners ≡ hand-assembled round runners
+//      — the unified config object is a pure re-expression, not a new
+//      code path.
 //   3. The streaming metrics equal their materializing counterparts.
 //
 // A 100k-node smoke test keeps the scale path honest under the normal
@@ -177,46 +177,6 @@ TEST(ScaleEquivalence, GmRoundBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Contract 2 (async mode): EngineConfig facade ≡ hand-built AsyncRunner.
-// ---------------------------------------------------------------------------
-
-TEST(ScaleEquivalence, AsyncFacadeBitIdentical) {
-  constexpr double kHorizon = 20.0;
-  for (const std::uint64_t seed : {1, 2, 3}) {
-    EngineConfig config = base_config(kGmNodes, seed);
-    config.mode = EngineMode::async;
-    const auto inputs = bimodal_inputs(kGmNodes, seed);
-
-    gossip::NetworkConfig net;
-    net.k = config.k;
-    net.seed = config.protocol_seed;
-    AsyncRunnerOptions options;
-    static_cast<CommonRunnerOptions&>(options) =
-        static_cast<const CommonRunnerOptions&>(config);
-
-    {
-      auto classic = gossip::make_gm_async_runner(Topology::complete(kGmNodes),
-                                                  inputs, net, options);
-      classic.run_until(kHorizon);
-      auto facade = gossip::make_gm_async_runner(Topology::complete(kGmNodes),
-                                                 inputs, config);
-      facade.run_until(kHorizon);
-      EXPECT_EQ(digest_nodes(classic), digest_nodes(facade)) << "gm " << seed;
-    }
-    {
-      auto classic = gossip::make_centroid_async_runner(
-          Topology::complete(kGmNodes), inputs, net, options);
-      classic.run_until(kHorizon);
-      auto facade = gossip::make_centroid_async_runner(
-          Topology::complete(kGmNodes), inputs, config);
-      facade.run_until(kHorizon);
-      EXPECT_EQ(digest_nodes(classic), digest_nodes(facade))
-          << "centroid " << seed;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Contract 1, stressed along every remaining axis.
 // ---------------------------------------------------------------------------
 
@@ -353,9 +313,6 @@ TEST(ScaleEquivalence, Smoke100kCentroid) {
   const auto inputs = bimodal_inputs(kBig, 1);
   EngineConfig config = base_config(kBig, 1);
   config.parallelism = 0;  // one lane per hardware thread
-  config.backend = EngineBackend::auto_select;
-  config.mode = EngineMode::round;
-  ASSERT_TRUE(config.use_soa());
 
   // TopologySpec's exact-factorization grid packing: 100000 → 250×400.
   config.topology.family = TopologyFamily::grid;

@@ -49,7 +49,6 @@ constexpr ddc::cli::EngineFlagSet kNodeFlagSet{.topology = true,
                                                .faults = false,
                                                .parallelism = false,
                                                .protocol = true,
-                                               .backend = false,
                                                .timing = false};
 
 struct Config {

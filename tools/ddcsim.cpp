@@ -7,12 +7,17 @@
 //   ddcsim --workload outliers --delta 10 --crash-prob 0.05
 //   ddcsim --workload fence --k 7 --nodes 500 --topology geometric
 //   ddcsim --protocol pushsum --workload loads --csv
-//   ddcsim --nodes 100000 --engine soa --rounds 20   # scale engine
+//   ddcsim --nodes 100000 --topology ring --rounds 20
+//   ddcsim --nodes 64 --rounds 30 --trace events.csv
 //
-// The engine flags (--topology/--nodes/--pattern/--threads/--engine/...)
-// are the shared cli::declare_engine_flags surface; only the
-// tool-specific flags (--protocol, --workload, --rounds, output shape)
-// are declared here.
+// gm and centroid run on the struct-of-arrays engine (SoaRoundEngine).
+// Two runs take RoundRunner instead: --trace, because only RoundRunner
+// records events, and pushsum, which has no SoA binding. The two engines
+// compute bit-identical runs, so --trace changes no other output line.
+//
+// The engine flags (--topology/--nodes/--pattern/--threads/...) are the
+// shared cli::declare_engine_flags surface; only the tool-specific flags
+// (--protocol, --workload, --rounds, output shape) are declared here.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -94,7 +99,7 @@ void flush_trace(const ToolConfig& tool, const ddc::sim::TraceRecorder& trace) {
 }
 
 /// Prints node 0's classification table and the optional RESULT line —
-/// shared tail of the object and scale classifier runs.
+/// shared tail of the traced and the SoA classifier runs.
 template <typename Summary, typename SummaryPrinter, typename MeanFn>
 void report_classification(const ToolConfig& tool,
                            const ddc::core::Classification<Summary>& c,
@@ -120,12 +125,13 @@ void report_timing(double prepare_s, double absorb_s, double partition_s,
             << " partition_s=" << partition_s << " em_s=" << em_s << '\n';
 }
 
+/// The --trace path for gm/centroid: RoundRunner records every event.
 template <typename Policy, typename Node, typename SummaryPrinter,
           typename MeanFn>
 int run_classifier(const ToolConfig& tool, ddc::sim::RoundRunner<Node> runner,
                    SummaryPrinter print_summary, MeanFn mean_of) {
   ddc::sim::TraceRecorder trace;
-  if (!tool.trace_path.empty()) runner.set_trace(&trace);
+  runner.set_trace(&trace);
 
   ddc::io::Table progress({"round", "alive", "disagreement"}, 6);
   for (std::size_t r = 0; r < tool.rounds; ++r) {
@@ -164,9 +170,9 @@ int run_classifier(const ToolConfig& tool, ddc::sim::RoundRunner<Node> runner,
   return 0;
 }
 
-/// The --engine soa path: same progress table, classification report and
-/// TIMING line as run_classifier, with the streaming metrics replacing
-/// the materializing ones (no per-node vector ever exists).
+/// The default gm/centroid path: same progress table, classification
+/// report and TIMING line as run_classifier, with the streaming metrics
+/// replacing the materializing ones (no per-node vector ever exists).
 template <typename Policy, typename Engine, typename SummaryPrinter,
           typename MeanFn>
 int run_scale(const ToolConfig& tool, Engine engine,
@@ -186,7 +192,7 @@ int run_scale(const ToolConfig& tool, Engine engine,
   report_classification(tool, engine.classification_of(0), print_summary,
                         mean_of);
   if (tool.timing) {
-    // Same TIMING contract as the object engine: partition_s/em_s are
+    // Same TIMING contract as RoundRunner: partition_s/em_s are
     // sums over the engine's scratch classifiers, which accumulate
     // exactly one receive per node per delivery.
     const auto& t = engine.timings();
@@ -290,47 +296,40 @@ int main(int argc, char** argv) {
         make_inputs(tool, config.topology.nodes, rng);
     ddc::sim::Topology topology = config.build_topology(rng);
 
-    const bool scale = config.use_soa() &&
-                       (tool.protocol == "gm" || tool.protocol == "centroid");
-    if (scale && !tool.trace_path.empty()) {
-      throw ddc::ConfigError(
-          "--trace needs the object engine (pass --engine object)");
-    }
-
+    const bool traced = !tool.trace_path.empty();
     if (tool.protocol == "gm") {
       auto print = [](const ddc::stats::Gaussian& g) { return describe(g); };
       auto mean = [](const ddc::stats::Gaussian& g) { return g.mean(); };
-      if (scale) {
-        return run_scale<ddc::summaries::GaussianPolicy>(
+      if (traced) {
+        return run_classifier<ddc::summaries::GaussianPolicy>(
             tool,
-            ddc::gossip::make_gm_scale_engine(std::move(topology), inputs,
-                                              config),
+            ddc::sim::make_gm_round_runner(std::move(topology), inputs,
+                                           config),
             print, mean);
       }
-      return run_classifier<ddc::summaries::GaussianPolicy>(
+      return run_scale<ddc::summaries::GaussianPolicy>(
           tool,
-          ddc::sim::make_gm_round_runner(std::move(topology), inputs, config),
+          ddc::gossip::make_gm_scale_engine(std::move(topology), inputs,
+                                            config),
           print, mean);
     }
     if (tool.protocol == "centroid") {
       auto print = [](const Vector& v) { return describe(v); };
       auto mean = [](const Vector& v) { return v; };
-      if (scale) {
-        return run_scale<ddc::summaries::CentroidPolicy>(
+      if (traced) {
+        return run_classifier<ddc::summaries::CentroidPolicy>(
             tool,
-            ddc::gossip::make_centroid_scale_engine(std::move(topology),
-                                                    inputs, config),
+            ddc::sim::make_centroid_round_runner(std::move(topology), inputs,
+                                                 config),
             print, mean);
       }
-      return run_classifier<ddc::summaries::CentroidPolicy>(
+      return run_scale<ddc::summaries::CentroidPolicy>(
           tool,
-          ddc::sim::make_centroid_round_runner(std::move(topology), inputs,
-                                               config),
+          ddc::gossip::make_centroid_scale_engine(std::move(topology), inputs,
+                                                  config),
           print, mean);
     }
     if (tool.protocol == "pushsum") {
-      // Push-sum has no SoA protocol binding; it always runs on the
-      // object engine regardless of --engine.
       return run_push_sum(tool,
                           ddc::sim::make_push_sum_round_runner(
                               std::move(topology), inputs, config),
