@@ -16,7 +16,6 @@
 #include <ddc/gossip/network.hpp>
 #include <ddc/gossip/runners.hpp>
 #include <ddc/linalg/vector.hpp>
-#include <ddc/net/codec.hpp>
 #include <ddc/net/transport.hpp>
 #include <ddc/shard/cluster.hpp>
 #include <ddc/shard/shard_engine.hpp>
@@ -25,12 +24,10 @@
 
 namespace ddc::shard {
 
-using GmCodec = net::ClassificationCodec<stats::Gaussian>;
-using CentroidCodec = net::ClassificationCodec<linalg::Vector>;
-using GmShardEngine = ShardEngine<gossip::GmNode, GmCodec>;
-using CentroidShardEngine = ShardEngine<gossip::CentroidNode, CentroidCodec>;
-using GmShardCluster = ShardCluster<gossip::GmNode, GmCodec>;
-using CentroidShardCluster = ShardCluster<gossip::CentroidNode, CentroidCodec>;
+using GmShardEngine = ShardEngine<gossip::GmNode>;
+using CentroidShardEngine = ShardEngine<gossip::CentroidNode>;
+using GmShardCluster = ShardCluster<gossip::GmNode>;
+using CentroidShardCluster = ShardCluster<gossip::CentroidNode>;
 
 /// The simulation slice of an EngineConfig as ShardEngineOptions (the
 /// exchange-pacing knobs keep their defaults; set them afterwards).
@@ -41,25 +38,10 @@ using CentroidShardCluster = ShardCluster<gossip::CentroidNode, CentroidCodec>;
   return options;
 }
 
-/// Exchange-pacing and partitioning knobs an engine factory copies out
-/// of the caller's options_override (the simulation slice always comes
-/// from the EngineConfig).
-[[nodiscard]] inline ShardEngineOptions merge_exchange_options(
-    const sim::EngineConfig& config,
-    const ShardEngineOptions& options_override) {
-  ShardEngineOptions options = shard_options(config);
-  options.resend_interval_polls = options_override.resend_interval_polls;
-  options.max_exchange_polls = options_override.max_exchange_polls;
-  options.idle = options_override.idle;
-  options.partitioner = options_override.partitioner;
-  options.overlap_chunk = options_override.overlap_chunk;
-  options.testing_suppress_empty_barrier_retransmit =
-      options_override.testing_suppress_empty_barrier_retransmit;
-  return options;
-}
-
 /// One shard of a GM cluster over `transport` (peer ids = shard ids;
-/// null only when num_shards == 1).
+/// null only when num_shards == 1). The simulation slice of the options
+/// comes from `config`, every exchange and partitioning knob from
+/// `options_override`.
 [[nodiscard]] inline GmShardEngine make_gm_shard_engine(
     sim::Topology topology, const std::vector<linalg::Vector>& inputs,
     const sim::EngineConfig& config, ShardId shard_id, ShardId num_shards,
@@ -68,7 +50,8 @@ using CentroidShardCluster = ShardCluster<gossip::CentroidNode, CentroidCodec>;
   DDC_EXPECTS(inputs.size() == topology.num_nodes());
   const ShardMap map =
       ShardMap::make(options_override.partitioner, topology, num_shards);
-  ShardEngineOptions options = merge_exchange_options(config, options_override);
+  ShardEngineOptions options = options_override;
+  static_cast<sim::RoundRunnerOptions&>(options) = config.round_options();
   return GmShardEngine(
       std::move(topology), map, shard_id,
       gossip::make_gm_nodes(inputs, gossip::network_config(config), reduction,
@@ -84,7 +67,8 @@ using CentroidShardCluster = ShardCluster<gossip::CentroidNode, CentroidCodec>;
   DDC_EXPECTS(inputs.size() == topology.num_nodes());
   const ShardMap map =
       ShardMap::make(options_override.partitioner, topology, num_shards);
-  ShardEngineOptions options = merge_exchange_options(config, options_override);
+  ShardEngineOptions options = options_override;
+  static_cast<sim::RoundRunnerOptions&>(options) = config.round_options();
   return CentroidShardEngine(
       std::move(topology), map, shard_id,
       gossip::make_centroid_nodes(inputs, gossip::network_config(config),

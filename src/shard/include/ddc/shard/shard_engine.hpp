@@ -12,9 +12,17 @@
 // retransmitted until delivered, with one batch per peer per round
 // acting as the round barrier (an empty batch is the barrier token).
 //
+// Every protocol decision of the round — who splits how often and in
+// what order, which messages cross the wire, what each receiver absorbs
+// in which order — is read off sim::RoundPlan's message table, the same
+// table RoundRunner and SoaRoundEngine read. Local messages sit in a
+// row-indexed payload array; a received batch record is matched to its
+// row by (initiator, kind), so the monolithic delivery order is replayed
+// exactly with remote messages in their planned positions.
+//
 // Compute/communication overlap: begin_round() splits the owned nodes
-// into BOUNDARY (this round's plan moves one of their messages across a
-// shard edge) and INTERIOR sets, prepares the boundary first, flushes
+// into BOUNDARY (one of their message-table rows is addressed to another
+// shard) and INTERIOR sets, prepares the boundary first, flushes
 // the batch frames immediately, then prepares the interior in chunks
 // with transport polls in between — peers' frames are on the wire (and
 // being serviced) while the bulk of prepare still runs, instead of the
@@ -29,16 +37,16 @@
 //  * Every environment draw (neighbor selection, crash draws) is
 //    replayed IDENTICALLY on every shard: each engine holds a full
 //    sim::RoundPlan (global alive vector, selector state, environment
-//    stream) and plans all n nodes, consuming exactly RoundRunner's
-//    draws. The alive vector evolves as a pure function of the seed, so
-//    replicas never diverge.
+//    stream, message table) and plans all n nodes, consuming exactly
+//    RoundRunner's draws. The alive vector evolves as a pure function of
+//    the seed, so replicas never diverge.
 //  * Node-local randomness derives from the protocol seed by GLOBAL
 //    node id (gossip::make_*_nodes discipline), so a node's stream does
 //    not depend on which shard hosts it.
 //  * Channel loss cannot use RoundRunner's sequential loss stream (its
 //    draw count depends on message emptiness, which is unknowable for
 //    remote senders), so the engine derives a STATELESS per-message
-//    verdict from (loss seed, round, initiator, direction). Lossy runs
+//    verdict from (loss seed, round, initiator, kind). Lossy runs
 //    are therefore bit-identical across shard counts, but sample a
 //    different (equally distributed) loss pattern than RoundRunner;
 //    lossless runs match RoundRunner exactly.
@@ -57,10 +65,12 @@
 #include <optional>
 #include <span>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include <ddc/common/assert.hpp>
+#include <ddc/core/collection.hpp>
 #include <ddc/exec/parallel_for.hpp>
 #include <ddc/exec/thread_pool.hpp>
 #include <ddc/net/transport.hpp>
@@ -70,13 +80,14 @@
 #include <ddc/sim/topology.hpp>
 #include <ddc/stats/rng.hpp>
 #include <ddc/wire/framing.hpp>
+#include <ddc/wire/serialize.hpp>
 
 namespace ddc::shard {
 
 /// Configuration of a shard engine. The simulation fields are
 /// RoundRunnerOptions' (parallelism covers the owned range's
 /// prepare/absorb phases; loss verdicts are hashed from (seed, round,
-/// initiator, direction) — see the determinism note in the header
+/// initiator, kind) — see the determinism note in the header
 /// comment). The exchange fields pace the batch protocol in transport
 /// polls (poll = one try_complete_round() that did not finish the round).
 struct ShardEngineOptions : sim::RoundRunnerOptions {
@@ -125,12 +136,18 @@ struct ShardEngineStats {
   std::uint64_t polls_during_compute = 0;
 };
 
-/// One process's shard of a round-based gossip simulation. `Codec`
-/// encodes Node::Message payloads for the wire (net/codec.hpp shapes).
-template <sim::GossipNode Node, typename Codec>
+/// One process's shard of a round-based gossip simulation. Messages are
+/// classifications and travel as wire::encode_classification payloads
+/// (auxiliary vectors never travel — they are diagnostic-only and O(n)).
+template <sim::GossipNode Node>
 class ShardEngine {
  public:
+  using Summary = typename Node::Summary;
   using Message = typename Node::Message;
+  static_assert(std::is_same_v<Message, core::Classification<Summary>>);
+  // A row's kind travels as its record's tag.
+  static_assert(static_cast<int>(sim::MessageKind::reply) ==
+                static_cast<int>(wire::BatchTag::reply));
 
   /// Takes ownership of shard `shard_id`'s node objects (`owned_nodes`
   /// must hold map.size(shard_id) nodes in map.owned(shard_id) order —
@@ -148,8 +165,8 @@ class ShardEngine {
         plan_(map_.num_nodes(), options_),
         loss_seed_(stats::derive_seed(options_.seed, 0x4c4f5353ULL)),
         transport_(transport),
-        replies_(map_.num_nodes()),
-        outbox_(nodes_.size()),
+        payload_(2 * map_.num_nodes()),
+        received_(2 * map_.num_nodes(), nullptr),
         inbox_(nodes_.size()),
         peers_(map_.num_shards()),
         pool_(exec::make_lane_pool(options_.parallelism)) {
@@ -173,11 +190,8 @@ class ShardEngine {
     DDC_EXPECTS(!round_open_);
     plan_.plan(topology_);  // phase 1, global
     classify_boundary();
-    const std::size_t n = map_.num_nodes();
-    for (sim::NodeId i = 0; i < n; ++i) replies_[i].reset();
-    for (std::size_t j = 0; j < nodes_.size(); ++j) outbox_[j].reset();
     prepare_nodes(boundary_js_);
-    send_batches();  // only reads boundary nodes' outbox_/replies_ slots
+    send_batches();  // only reads boundary nodes' payload_ rows
     const bool overlap = map_.num_shards() > 1 && options_.overlap_chunk > 0;
     const std::size_t chunk =
         overlap ? options_.overlap_chunk : interior_js_.size();
@@ -308,75 +322,50 @@ class ShardEngine {
 
   /// Stateless per-message loss verdict — identical on every shard by
   /// construction, because it depends only on global quantities. The
-  /// initiator/direction pair names the message uniquely within a round
-  /// (one forward and at most one reply per initiator).
-  [[nodiscard]] bool channel_drops(sim::NodeId initiator,
-                                   wire::BatchTag tag) const {
+  /// (initiator, kind) pair names the row uniquely within a round (one
+  /// forward and at most one reply per initiator); kind salts as the
+  /// wire's BatchTag, forward = 0 and reply = 1.
+  [[nodiscard]] bool channel_drops(const sim::PlannedMessage& m) const {
     if (options_.message_loss_probability <= 0.0) return false;
     const std::uint64_t salt = stats::derive_seed(
-        round_ * 2 + static_cast<std::uint64_t>(tag), initiator);
+        round_ * 2 + static_cast<std::uint64_t>(m.kind), m.initiator());
     stats::Rng draw = stats::Rng::derive(loss_seed_, salt);
     return draw.bernoulli(options_.message_loss_probability);
   }
 
-  /// Splits the owned nodes into boundary (this round's plan moves one
-  /// of their messages across a shard edge: an outbound forward, or a
-  /// reply owed to a remote initiator) and interior. Boundary nodes are
-  /// prepared first so the batch frames can leave before interior
-  /// compute starts.
+  /// Splits the owned nodes into boundary (one of their rows in the
+  /// message table is addressed to a node on another shard: an outbound
+  /// forward, or a reply owed to a remote initiator) and interior.
+  /// Boundary nodes are prepared first so the batch frames can leave
+  /// before interior compute starts.
   void classify_boundary() {
     boundary_js_.clear();
     interior_js_.clear();
     const bool multi = map_.num_shards() > 1;
-    const bool sends = plan_.sends_data();
-    const bool replies = plan_.wants_reply();
+    const std::span<const sim::PlannedMessage> rows = plan_.messages();
     const std::span<const sim::NodeId> owned = map_.owned(shard_);
     for (std::size_t j = 0; j < owned.size(); ++j) {
-      const sim::NodeId g = owned[j];
-      bool boundary = false;
-      if (multi) {
-        const std::optional<sim::NodeId> target = plan_.target(g);
-        if (sends && target && !owns(*target)) boundary = true;
-        if (!boundary && replies) {
-          for (const sim::NodeId r : plan_.requesters(g)) {
-            if (!owns(r)) {
-              boundary = true;
-              break;
-            }
-          }
-        }
-      }
+      const std::span<const std::size_t> out = plan_.outgoing(owned[j]);
+      const bool boundary =
+          multi && std::any_of(out.begin(), out.end(), [&](std::size_t r) {
+            return !owns(rows[r].to);
+          });
       (boundary ? boundary_js_ : interior_js_).push_back(j);
     }
     stats_.boundary_nodes += boundary_js_.size();
   }
 
   /// Phase 2 — RoundRunner::prepare_messages restricted to the given
-  /// owned local indices. The plan's reply requests are global, so an owned
-  /// responder interleaves its own send between lower- and
-  /// higher-indexed initiators exactly as the monolithic engine would,
-  /// remote initiators included. Per-node draws are node-local, so any
-  /// split of the owned set into prepare_nodes calls is bit-identical.
+  /// owned local indices: one split per row of the node's outgoing view,
+  /// in row order, remote initiators included. Per-node draws are
+  /// node-local, so any split of the owned set into prepare_nodes calls
+  /// is bit-identical.
   void prepare_nodes(std::span<const std::size_t> js) {
-    const bool sends = plan_.sends_data();
-    const bool replies = plan_.wants_reply();
     const std::span<const sim::NodeId> owned = map_.owned(shard_);
     exec::parallel_for(pool_.get(), js.size(), [&](std::size_t idx) {
       const std::size_t j = js[idx];
-      const sim::NodeId g = owned[j];
-      const bool has_target = plan_.target(g).has_value();
-      if (replies) {
-        const std::span<const sim::NodeId> requests = plan_.requesters(g);
-        std::size_t r = 0;
-        for (; r < requests.size() && requests[r] < g; ++r) {
-          replies_[requests[r]] = nodes_[j].prepare_message();
-        }
-        if (sends && has_target) outbox_[j] = nodes_[j].prepare_message();
-        for (; r < requests.size(); ++r) {
-          replies_[requests[r]] = nodes_[j].prepare_message();
-        }
-      } else if (has_target) {
-        outbox_[j] = nodes_[j].prepare_message();
+      for (const std::size_t r : plan_.outgoing(owned[j])) {
+        payload_[r] = nodes_[j].prepare_message();
       }
     });
   }
@@ -387,8 +376,6 @@ class ShardEngine {
   /// — they are global functions, so the receiver would agree.
   void send_batches() {
     if (map_.num_shards() == 1) return;
-    const bool sends = plan_.sends_data();
-    const bool replies = plan_.wants_reply();
     // Reused member scratch (hot-path-alloc): the outer vectors keep
     // their capacity across rounds; `encoded` keeps payloads alive
     // until the per-peer frames are built below.
@@ -397,32 +384,14 @@ class ShardEngine {
     outgoing_scratch_.resize(map_.num_shards());
     std::vector<std::vector<wire::BatchRecord>>& outgoing = outgoing_scratch_;
     for (std::vector<wire::BatchRecord>& records : outgoing) records.clear();
-    const std::size_t n = map_.num_nodes();
-    for (sim::NodeId i = 0; i < n; ++i) {
-      if (!plan_.alive(i)) continue;
-      const std::optional<sim::NodeId> target = plan_.target(i);
-      if (!target) continue;
-      const sim::NodeId t = *target;
-      if (sends && owns(i) && !owns(t)) {
-        const std::optional<Message>& msg = outbox_[local(i)];
-        if (msg && !msg->empty() && plan_.alive(t) &&
-            !channel_drops(i, wire::BatchTag::forward)) {
-          encoded.push_back(Codec::encode(*msg));
-          outgoing[map_.shard_of(t)].push_back(
-              {static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(t),
-               wire::BatchTag::forward, encoded.back()});
-        }
-      }
-      if (replies && owns(t) && !owns(i)) {
-        const std::optional<Message>& msg = replies_[i];
-        // The initiator is alive by plan; only the loss verdict applies.
-        if (msg && !msg->empty() && !channel_drops(i, wire::BatchTag::reply)) {
-          encoded.push_back(Codec::encode(*msg));
-          outgoing[map_.shard_of(i)].push_back(
-              {static_cast<std::uint32_t>(t), static_cast<std::uint32_t>(i),
-               wire::BatchTag::reply, encoded.back()});
-        }
-      }
+    const std::span<const sim::PlannedMessage> rows = plan_.messages();
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const sim::PlannedMessage& m = rows[r];
+      if (!owns(m.from) || owns(m.to) || !delivers(m, payload_[r])) continue;
+      encoded.push_back(wire::encode_classification(payload_[r]));
+      outgoing[map_.shard_of(m.to)].push_back(
+          {static_cast<std::uint32_t>(m.from), static_cast<std::uint32_t>(m.to),
+           static_cast<wire::BatchTag>(m.kind), encoded.back()});
     }
     for (ShardId s = 0; s < map_.num_shards(); ++s) {
       if (s == shard_) continue;
@@ -613,61 +582,52 @@ class ShardEngine {
     }
   }
 
-  /// Phase 3 — RoundRunner::deliver_messages, replayed in global node
-  /// order. Local messages come from outbox_/replies_; remote ones from
-  /// the peers' batches, slotted into their planned positions (forward
-  /// keyed by initiator, reply keyed by the initiator it answers).
+  /// Sender-side verdict on an owned node's message: non-empty, to a
+  /// live target, not dropped by the channel. The inputs are global, so
+  /// every shard would agree.
+  [[nodiscard]] bool delivers(const sim::PlannedMessage& m,
+                              const Message& msg) const {
+    return !msg.empty() && plan_.alive(m.to) && !channel_drops(m);
+  }
+
+  /// Phase 3 — RoundRunner::deliver_messages, replayed in row order over
+  /// the rows addressed to owned nodes. Local messages come from
+  /// payload_; remote ones from the peers' batches, each record matched
+  /// to its row by (initiator, kind).
   void deliver_messages() {
-    const bool sends = plan_.sends_data();
-    const bool replies = plan_.wants_reply();
     for (std::size_t j = 0; j < nodes_.size(); ++j) inbox_[j].clear();
-    // Planned-position index over the stored records of every peer.
+    const std::span<const sim::PlannedMessage> rows = plan_.messages();
     const std::size_t n = map_.num_nodes();
-    fwd_index_.assign(n, nullptr);
-    reply_index_.assign(n, nullptr);
+    std::fill(received_.begin(), received_.end(), nullptr);
     for (ShardId s = 0; s < map_.num_shards(); ++s) {
       if (s == shard_) continue;
       for (StoredRecord& rec : peers_[s].records) {
         rec.consumed = false;
         if (rec.src >= n || rec.dst >= n || !owns(rec.dst)) continue;
-        if (rec.tag == wire::BatchTag::forward) {
-          fwd_index_[rec.src] = &rec;
-        } else {
-          reply_index_[rec.dst] = &rec;
+        const auto kind = static_cast<sim::MessageKind>(rec.tag);
+        const sim::NodeId initiator =
+            kind == sim::MessageKind::forward ? rec.src : rec.dst;
+        if (const std::optional<std::size_t> r = plan_.row(initiator, kind)) {
+          received_[*r] = &rec;
         }
       }
     }
-    for (sim::NodeId i = 0; i < n; ++i) {
-      if (!plan_.alive(i)) continue;
-      const std::optional<sim::NodeId> target = plan_.target(i);
-      if (!target) continue;
-      const sim::NodeId t = *target;
-      if (sends && owns(t)) {
-        if (owns(i)) {
-          std::optional<Message>& msg = outbox_[local(i)];
-          if (msg && !msg->empty() && plan_.alive(t) &&
-              !channel_drops(i, wire::BatchTag::forward)) {
-            inbox_[local(t)].push_back(std::move(*msg));
-          }
-        } else if (StoredRecord* rec = fwd_index_[i];
-                   rec != nullptr && rec->dst == t) {
-          deliver_record(*rec);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const sim::PlannedMessage& m = rows[r];
+      if (owns(m.from)) {
+        // Every owned row's payload leaves payload_ here, delivered or
+        // not, so no message outlives its round.
+        Message msg = std::move(payload_[r]);
+        if (owns(m.to) && delivers(m, msg)) {
+          inbox_[local(m.to)].push_back(std::move(msg));
         }
-      }
-      if (replies && owns(i)) {
-        if (owns(t)) {
-          std::optional<Message>& msg = replies_[i];
-          if (msg && !msg->empty() &&
-              !channel_drops(i, wire::BatchTag::reply)) {
-            inbox_[local(i)].push_back(std::move(*msg));
-          }
-        } else if (StoredRecord* rec = reply_index_[i];
-                   rec != nullptr && rec->src == t) {
-          deliver_record(*rec);
-        }
+      } else if (StoredRecord* rec = received_[r];
+                 owns(m.to) && rec != nullptr && rec->src == m.from &&
+                 rec->dst == m.to) {
+        deliver_record(*rec);
       }
     }
-    // Records that matched no planned slot — only possible after a peer
+    // Records that matched no planned row — only possible after a peer
     // restarted with a diverged plan. Deliver them in a deterministic
     // order so the healthy shards at least agree with each other.
     leftovers_.clear();
@@ -694,7 +654,8 @@ class ShardEngine {
   void deliver_record(StoredRecord& rec) {
     rec.consumed = true;
     try {
-      inbox_[local(rec.dst)].push_back(Codec::decode(rec.payload));
+      inbox_[local(rec.dst)].push_back(
+          wire::decode_classification<Summary>(rec.payload));
     } catch (const wire::DecodeError&) {
       ++stats_.decode_errors;
     }
@@ -715,19 +676,19 @@ class ShardEngine {
   ShardId shard_;
   std::vector<Node> nodes_;
   ShardEngineOptions options_;
-  // Phases 1 and 5, replayed over ALL n nodes on every shard.
+  // Phases 1 and 5 and the message table, replayed over ALL n nodes on
+  // every shard.
   sim::RoundPlan plan_;
   std::uint64_t loss_seed_;
   net::Transport* transport_;
-  // Replies keyed by global initiator id.
-  std::vector<std::optional<Message>> replies_;
+  // By message-table row: owned senders' messages, and the peer record
+  // matched to each row addressed to an owned node.
+  std::vector<Message> payload_;
+  std::vector<StoredRecord*> received_;
   // Owned-range scratch.
-  std::vector<std::optional<Message>> outbox_;
   std::vector<std::vector<Message>> inbox_;
   std::vector<std::size_t> boundary_js_;
   std::vector<std::size_t> interior_js_;
-  std::vector<StoredRecord*> fwd_index_;
-  std::vector<StoredRecord*> reply_index_;
   std::vector<StoredRecord*> leftovers_;
   // send_batches() scratch, reused across rounds (hot-path-alloc).
   std::vector<std::vector<std::byte>> encode_scratch_;

@@ -2,17 +2,24 @@
 // three lockstep engines (RoundRunner, SoaRoundEngine, shard::ShardEngine).
 //
 // Section 5.3 measures progress in rounds: in each round every live node
-// contacts one neighbor. Figure 4's failure model then crashes every live
-// node independently with a fixed probability. RoundPlan is that policy,
+// contacts one neighbor, and every receiver unions all it got and
+// partitions once. Figure 4's failure model then crashes every live node
+// independently with a fixed probability. RoundPlan is that policy,
 // written once. It owns everything the policy draws or remembers:
 //
 //   * the global alive vector;
 //   * the NeighborSelector (round-robin cursors);
 //   * the environment stream Rng::derive(seed, "RNDRU"), consumed by the
 //     selection draws in plan() and the crash draws in crash();
-//   * the round's plan: each node's target and, for patterns with a pull
-//     component, the reply requests (who owes whom a reply) as a CSR over
-//     responders, ascending by initiator within each responder.
+//   * the round's plan: each node's target and the MESSAGE TABLE that
+//     follows from it — one row per planned message, in the monolithic
+//     delivery order — with views giving each node's split order
+//     (outgoing), each receiver's absorb order (incoming) and each
+//     initiator's rows (row).
+//
+// Who splits how often, what goes on the wire in which order and what
+// each receiver absorbs is therefore decided here once; the engines
+// differ only in storage, loss verdict and exchange.
 //
 // The plan is a pure function of (topology, options, rounds so far), so a
 // ShardEngine on every shard replays it for all n nodes and every replica
@@ -23,6 +30,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -57,6 +65,24 @@ struct RoundRunnerOptions : CommonRunnerOptions {
   std::size_t parallelism = 1;
 };
 
+/// The two directions of a planned message: the initiator's own send
+/// (push, push-pull) and its contact's answer (pull, push-pull). The
+/// values are the wire's BatchTag values.
+enum class MessageKind : std::uint8_t { forward = 0, reply = 1 };
+
+/// One row of the round's message table.
+struct PlannedMessage {
+  NodeId from;
+  NodeId to;
+  MessageKind kind;
+
+  /// The node whose contact the message belongs to: the sender of a
+  /// forward, the receiver of a reply.
+  [[nodiscard]] NodeId initiator() const noexcept {
+    return kind == MessageKind::forward ? from : to;
+  }
+};
+
 /// One engine's copy of the round environment (see the file comment).
 /// plan() and crash() run in the sequential phases; the accessors are
 /// safe to read from the parallel ones.
@@ -67,8 +93,8 @@ class RoundPlan {
   RoundPlan(std::size_t num_nodes, const RoundRunnerOptions& options);
 
   /// Phase 1 — environment draws only. Picks every live node's target in
-  /// node order and lowers the reply requests into the CSR. Consumes
-  /// exactly the selection draws, regardless of message contents.
+  /// node order, then builds the round's message table. Consumes exactly
+  /// the selection draws, regardless of message contents.
   void plan(const Topology& topology);
 
   /// Phase 5 — end-of-round crash draws over all nodes, in node order.
@@ -84,11 +110,37 @@ class RoundPlan {
     return t;
   }
 
-  /// The live initiators that contacted live node j and want a reply,
-  /// ascending. Always empty under the push pattern.
-  [[nodiscard]] std::span<const NodeId> requesters(NodeId j) const {
-    return std::span<const NodeId>(req_initiators_)
-        .subspan(req_offsets_[j], req_offsets_[j + 1] - req_offsets_[j]);
+  /// The round's message table, in delivery order; a row id indexes it.
+  /// Every live initiator with a target has a forward row under push and
+  /// push-pull — even to a dead target under drop_at_crashed: the split
+  /// happens and the message dies at transmit — and, under pull and
+  /// push-pull, a reply row when its target is alive.
+  [[nodiscard]] std::span<const PlannedMessage> messages() const noexcept {
+    return std::span<const PlannedMessage>(rows_).first(num_rows_);
+  }
+
+  /// Node j's rows (the messages j sends), ascending by initiator: the
+  /// order in which j splits its state (replies to lower initiators, its
+  /// own send, replies to higher ones).
+  [[nodiscard]] std::span<const std::size_t> outgoing(NodeId j) const {
+    return view(out_offsets_, out_rows_, j);
+  }
+
+  /// The rows addressed to r, ascending by row id: the delivery order,
+  /// in which r's inbox is unioned.
+  [[nodiscard]] std::span<const std::size_t> incoming(NodeId r) const {
+    return view(in_offsets_, in_rows_, r);
+  }
+
+  /// Initiator i's row of the given kind; nullopt when none is planned.
+  [[nodiscard]] std::optional<std::size_t> row(NodeId initiator,
+                                               MessageKind kind) const {
+    DDC_EXPECTS(initiator < n_);
+    for (std::size_t r = init_offsets_[initiator];
+         r < init_offsets_[initiator + 1]; ++r) {
+      if (rows_[r].kind == kind) return r;
+    }
+    return std::nullopt;
   }
 
   [[nodiscard]] bool alive(NodeId i) const {
@@ -99,18 +151,16 @@ class RoundPlan {
     return alive_count_;
   }
 
-  /// The gossip pattern's two directions: initiators ship half their
-  /// state (push, push-pull); contacts answer with half of theirs (pull,
-  /// push-pull).
-  [[nodiscard]] bool sends_data() const noexcept {
-    return pattern_ != GossipPattern::pull;
-  }
-  [[nodiscard]] bool wants_reply() const noexcept {
-    return pattern_ != GossipPattern::push;
-  }
-
  private:
   static constexpr NodeId kNoTarget = static_cast<NodeId>(-1);
+
+  [[nodiscard]] static std::span<const std::size_t> view(
+      const std::vector<std::size_t>& offsets,
+      const std::vector<std::size_t>& rows, NodeId key) {
+    return std::span<const std::size_t>(rows).subspan(
+        offsets[key], offsets[key + 1] - offsets[key]);
+  }
+  void build_messages();
 
   std::size_t n_;
   GossipPattern pattern_;
@@ -121,11 +171,19 @@ class RoundPlan {
   std::size_t alive_count_;
   NeighborSelector selector_;
 
-  // The round's plan (sequential writes, parallel reads).
+  // The round's plan (sequential writes, parallel reads). Every buffer is
+  // sized in the constructor — at most 2n rows, n+1 offsets per view —
+  // so plan() never allocates.
   std::vector<NodeId> targets_;
-  std::vector<std::size_t> req_counts_;
-  std::vector<std::size_t> req_offsets_;
-  std::vector<NodeId> req_initiators_;
+  std::vector<PlannedMessage> rows_;
+  std::size_t num_rows_ = 0;
+  // Rows are appended by initiator, so the per-initiator view needs only
+  // offsets: initiator i owns rows [init_offsets_[i], init_offsets_[i+1]).
+  std::vector<std::size_t> init_offsets_;
+  std::vector<std::size_t> out_offsets_;
+  std::vector<std::size_t> out_rows_;
+  std::vector<std::size_t> in_offsets_;
+  std::vector<std::size_t> in_rows_;
   std::vector<NodeId> crashed_;
 };
 

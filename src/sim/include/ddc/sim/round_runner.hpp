@@ -8,14 +8,16 @@
 // each round every live node crashes independently with fixed probability.
 //
 // Execution model — a round is five phases:
-//   1. plan     (sequential)  environment draws: neighbor selection
-//   2. prepare  (parallel)    every sender/responder splits its state
+//   1. plan     (sequential)  environment draws: neighbor selection, and
+//                             the round's message table
+//   2. prepare  (parallel)    every sender splits once per outgoing row
 //   3. deliver  (sequential)  traces, loss draws, inbox fill, in node order
 //   4. absorb   (parallel)    every receiver unions its inbox, runs EM once
 //   5. crash    (sequential)  end-of-round crash draws
 //
-// Phases 1 and 5 are the round environment, which RoundPlan
-// (round_plan.hpp) replays for all three lockstep engines.
+// Phases 1 and 5 are the round environment, and the message table fixes
+// the split, delivery and absorb orders of 2–4; RoundPlan
+// (round_plan.hpp) builds both for all three lockstep engines.
 // Phases 2 and 4 touch only node-local state (each node's classifier and
 // its own RNG stream), so they fan out across a thread pool when
 // `RoundRunnerOptions::parallelism > 1` — with results BIT-IDENTICAL to
@@ -70,8 +72,7 @@ class RoundRunner {
         options_(options),
         plan_(nodes_.size(), options_),
         loss_rng_(stats::Rng::derive(options.seed, 0x4c4f5353ULL)),
-        outbox_(nodes_.size()),
-        replies_(nodes_.size()),
+        payload_(2 * nodes_.size()),
         inbox_(nodes_.size()),
         pool_(exec::make_lane_pool(options_.parallelism)) {
     DDC_EXPECTS(nodes_.size() == topology_.num_nodes());
@@ -129,58 +130,35 @@ class RoundRunner {
 
  private:
 
-  /// Phase 2 — node-local splits, parallel over nodes. Each node performs
-  /// ITS OWN prepare_message calls in the order the sequential engine
-  /// would have reached them (ascending initiator index, its own send
-  /// between the requests from lower- and higher-indexed initiators), so
-  /// the node's state evolution — and hence every produced message — is
-  /// independent of scheduling.
+  /// Phase 2 — node-local splits, parallel over nodes. Each node splits
+  /// once per row of plan_.outgoing(j), in row order (ascending
+  /// initiator: its own send falls between the replies to lower- and
+  /// higher-indexed initiators), so the node's state evolution — and
+  /// hence every produced message — is independent of scheduling.
   void prepare_messages() {
-    const bool sends = plan_.sends_data();
-    const bool replies = plan_.wants_reply();
-    for (NodeId i = 0; i < nodes_.size(); ++i) {
-      outbox_[i].reset();
-      replies_[i].reset();
-    }
     exec::parallel_for(pool_.get(), nodes_.size(), [&](std::size_t j) {
-      const bool has_target = plan_.target(j).has_value();
-      if (replies) {
-        const std::span<const NodeId> requests = plan_.requesters(j);
-        std::size_t r = 0;
-        for (; r < requests.size() && requests[r] < j; ++r) {
-          replies_[requests[r]] = nodes_[j].prepare_message();
-        }
-        if (sends && has_target) outbox_[j] = nodes_[j].prepare_message();
-        for (; r < requests.size(); ++r) {
-          replies_[requests[r]] = nodes_[j].prepare_message();
-        }
-      } else if (has_target) {
-        outbox_[j] = nodes_[j].prepare_message();
+      for (const std::size_t r : plan_.outgoing(j)) {
+        payload_[r] = nodes_[j].prepare_message();
       }
     });
   }
 
   /// Phase 3 — the wire, sequential in node order: trace events, loss
   /// draws and inbox fills happen exactly as the sequential engine
-  /// interleaves them.
+  /// interleaves them. Node i's messages are its forward, then the reply
+  /// its contact owes it.
   void deliver_messages() {
-    const bool sends = plan_.sends_data();
-    const bool replies = plan_.wants_reply();
     for (NodeId i = 0; i < nodes_.size(); ++i) inbox_[i].clear();
     for (NodeId i = 0; i < nodes_.size(); ++i) {
       if (!plan_.alive(i)) continue;
-      const std::optional<NodeId> planned = plan_.target(i);
-      if (!planned) {
+      if (!plan_.target(i)) {
         trace(TraceEventType::no_live_neighbor, i, i, 0);
         continue;  // no eligible neighbor left
       }
-      const NodeId target = *planned;
-      if (sends && outbox_[i] && !outbox_[i]->empty()) {
-        transmit(i, target, std::move(*outbox_[i]));
-      }
-      if (replies && replies_[i] && !replies_[i]->empty()) {
-        // The contacted neighbor answers with half of its own state.
-        transmit(target, i, std::move(*replies_[i]));
+      for (const MessageKind kind : {MessageKind::forward, MessageKind::reply}) {
+        if (const std::optional<std::size_t> r = plan_.row(i, kind)) {
+          transmit(*r);
+        }
       }
     }
   }
@@ -216,9 +194,15 @@ class RoundRunner {
     if (trace_ != nullptr) trace_->record({round_, type, from, to, payload});
   }
 
-  /// Puts one message on the wire: records the send, then either loses it,
-  /// drops it at a dead target, or queues it for delivery.
-  void transmit(NodeId from, NodeId to, Message msg) {
+  /// Puts row `r`'s message on the wire, unless it is empty: records the
+  /// send, then either drops it at a dead target, loses it, or queues it
+  /// for delivery. The message leaves payload_ either way, so none
+  /// outlives its round.
+  void transmit(std::size_t r) {
+    Message msg = std::move(*payload_[r]);
+    if (msg.empty()) return;
+    const NodeId from = plan_.messages()[r].from;
+    const NodeId to = plan_.messages()[r].to;
     const std::size_t payload = payload_units(msg);
     trace(TraceEventType::send, from, to, payload);
     if (!plan_.alive(to)) {
@@ -237,14 +221,13 @@ class RoundRunner {
   Topology topology_;
   std::vector<Node> nodes_;
   RoundRunnerOptions options_;
-  RoundPlan plan_;  // phases 1 and 5: the environment replay
+  RoundPlan plan_;  // phase 1 and 5 draws, and the round's message table
   stats::Rng loss_rng_;
   // Per-round scratch, kept across rounds to avoid reallocating. All of it
   // is written either sequentially or at disjoint indices (phase 2 writes
-  // outbox_[j] / replies_[i] from the single task that owns the involved
-  // node; phase 4 consumes inbox_[i] from the task that owns i).
-  std::vector<std::optional<Message>> outbox_;
-  std::vector<std::optional<Message>> replies_;
+  // payload_[r] from the task that owns row r's sender; phase 4 consumes
+  // inbox_[i] from the task that owns i).
+  std::vector<std::optional<Message>> payload_;  // by message-table row
   std::vector<std::vector<Message>> inbox_;
   std::unique_ptr<exec::ThreadPool> pool_;
   std::size_t round_ = 0;

@@ -9,12 +9,12 @@
 //   * node state: a weight-quanta array (n × k int64), a packed-summary
 //     array (n × k × sd doubles, sd = doubles per summary) and a
 //     collection-count array;
-//   * in-flight messages: a fixed-slot arena of 2n message slots (slot i
-//     holds node i's outgoing gossip, slot n+i holds the reply addressed
-//     to node i), so the parallel prepare phase writes disjoint slots
-//     with no allocation and no synchronization;
-//   * inboxes: a CSR index over delivered slots, built by a stable
-//     counting sort that preserves delivery order.
+//   * in-flight messages: a fixed-slot arena of 2n message slots, one per
+//     row of RoundPlan's message table (slot = row id), so the parallel
+//     prepare phase writes disjoint slots with no allocation and no
+//     synchronization;
+//   * inboxes: none of their own — a receiver unions the delivered slots
+//     of RoundPlan::incoming(i), which lists them in delivery order.
 //
 // Bit-identity with RoundRunner — the contract the golden equivalence
 // suite pins — holds BY CONSTRUCTION, not by re-implementation: each
@@ -22,13 +22,16 @@
 // object engine runs); per node the engine rehydrates the scratch from
 // the pools, runs the unmodified split/receive kernels, and writes the
 // state back. Round structure, draw order (selection, loss, crash) and
-// per-node call order replicate RoundRunner phase for phase; phases 1
-// and 5 run through the same RoundPlan class:
+// per-node call order replicate RoundRunner phase for phase, because
+// both read the same RoundPlan: its draws (phases 1 and 5) and its
+// message table (the split, delivery and absorb orders of 2–4):
 //
-//   1. plan     (sequential)  selection draws, reply bookkeeping
-//   2. prepare  (parallel)    splits into the slot arena
-//   3. deliver  (sequential)  loss draws, inbox CSR build, in node order
-//   4. absorb   (parallel)    per receiver: union inbox slots, one receive
+//   1. plan     (sequential)  selection draws, message table
+//   2. prepare  (parallel)    per node: one split per outgoing(j) row
+//   3. deliver  (sequential)  one delivered flag per row, loss draws in
+//                             row order
+//   4. absorb   (parallel)    per receiver: union the delivered slots of
+//                             incoming(i), one receive
 //   5. crash    (sequential)  end-of-round crash draws
 //
 // Deliberate non-features: no TraceRecorder (a per-event log defeats the
@@ -57,7 +60,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -95,14 +97,9 @@ class SoaRoundEngine {
         sd_(protocol_.summary_doubles()),
         plan_(n_, options_),
         loss_rng_(stats::Rng::derive(options.seed, 0x4c4f5353ULL)),
-        counts_(n_, 1),
-        weights_(n_ * k_, 0),
-        summaries_(n_ * k_ * sd_, 0.0),
-        slot_counts_(2 * n_, 0),
-        slot_weights_(2 * n_ * k_, 0),
-        slot_summaries_(2 * n_ * k_ * sd_, 0.0),
-        inbox_counts_(n_, 0),
-        inbox_offsets_(n_ + 1, 0),
+        state_(n_, k_, sd_),
+        slots_(2 * n_, k_, sd_),
+        delivered_(2 * n_, false),
         pool_(exec::make_lane_pool(options_.parallelism)) {
     DDC_EXPECTS(n_ >= 2);
     DDC_EXPECTS(k_ >= 1);
@@ -110,8 +107,9 @@ class SoaRoundEngine {
     DDC_EXPECTS(options_.message_loss_probability >= 0.0 &&
                 options_.message_loss_probability <= 1.0);
     for (NodeId i = 0; i < n_; ++i) {
-      weights_[i * k_] = protocol_.quanta_per_unit();
-      protocol_.pack(initial_summary(i), &summaries_[i * k_ * sd_]);
+      state_.counts[i] = 1;
+      state_.weights[i * k_] = protocol_.quanta_per_unit();
+      protocol_.pack(initial_summary(i), &state_.summaries[i * k_ * sd_]);
     }
     if constexpr (Protocol::has_node_rng) {
       rngs_.reserve(n_);
@@ -122,7 +120,6 @@ class SoaRoundEngine {
     for (std::size_t c = 0; c < chunks; ++c) {
       scratch_.push_back(protocol_.make_scratch());
     }
-    deliveries_.reserve(2 * n_);
   }
 
   /// Executes one round — same five phases, same environment draw order
@@ -170,7 +167,7 @@ class SoaRoundEngine {
   [[nodiscard]] Message classification_of(NodeId i) const {
     DDC_EXPECTS(i < n_);
     Message result;
-    unpack_node(i, result);
+    read_row(state_, i, result);
     return result;
   }
 
@@ -182,7 +179,8 @@ class SoaRoundEngine {
   void for_each_classification(Fn&& fn) const {
     Message scratch;
     for (NodeId i = 0; i < n_; ++i) {
-      unpack_node(i, scratch);
+      scratch.collections().clear();
+      read_row(state_, i, scratch);
       fn(i, static_cast<const Message&>(scratch));
     }
   }
@@ -192,7 +190,9 @@ class SoaRoundEngine {
   [[nodiscard]] std::int64_t total_quanta() const noexcept {
     std::int64_t acc = 0;
     for (NodeId i = 0; i < n_; ++i) {
-      for (std::size_t c = 0; c < counts_[i]; ++c) acc += weights_[i * k_ + c];
+      for (std::size_t c = 0; c < state_.counts[i]; ++c) {
+        acc += state_.weights[i * k_ + c];
+      }
     }
     return acc;
   }
@@ -220,91 +220,59 @@ class SoaRoundEngine {
 
  private:
   /// Phase 2 — parallel splits into the slot arena. Each chunk's scratch
-  /// classifier serves its nodes one after another; per node the split
-  /// order (replies to lower-indexed initiators, own send, replies to
-  /// higher-indexed ones) matches RoundRunner::prepare_messages exactly.
+  /// classifier serves its nodes one after another; per node it splits
+  /// once per row of plan_.outgoing(j), in that order — the order
+  /// RoundRunner::prepare_messages uses.
   void prepare_messages() {
-    const bool sends = plan_.sends_data();
-    const bool replies = plan_.wants_reply();
-    std::fill(slot_counts_.begin(), slot_counts_.end(), std::uint32_t{0});
     exec::parallel_for_chunks(
         pool_.get(), n_,
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
           Classifier& scratch = scratch_[chunk];
           for (NodeId j = begin; j < end; ++j) {
-            const bool has_target = plan_.target(j).has_value();
-            if (replies) {
-              const std::span<const NodeId> requests = plan_.requesters(j);
-              const bool own_send = sends && has_target;
-              if (requests.empty() && !own_send) continue;
-              load_state(j, scratch);
-              std::size_t r = 0;
-              for (; r < requests.size() && requests[r] < j; ++r) {
-                emit(scratch.split(), n_ + requests[r]);
-              }
-              if (own_send) emit(scratch.split(), j);
-              for (; r < requests.size(); ++r) {
-                emit(scratch.split(), n_ + requests[r]);
-              }
-              store_state(j, scratch);
-            } else if (has_target) {
-              load_state(j, scratch);
-              emit(scratch.split(), j);
-              store_state(j, scratch);
+            const std::span<const std::size_t> rows = plan_.outgoing(j);
+            if (rows.empty()) continue;
+            load_state(j, scratch);
+            for (const std::size_t r : rows) {
+              write_row(scratch.split(), slots_, r);
             }
+            store_state(j, scratch);
           }
         });
   }
 
-  /// Phase 3 — the wire, sequential in node order (loss draws included),
-  /// then the inbox CSR via stable counting sort: per receiver, slots
-  /// appear in delivery order, exactly like RoundRunner's inbox
-  /// push_backs.
+  /// Phase 3 — the wire, sequential in row (delivery) order: a non-empty
+  /// message to a live target takes one loss draw, exactly like
+  /// RoundRunner::transmit.
   void deliver_messages() {
-    const bool sends = plan_.sends_data();
-    const bool replies = plan_.wants_reply();
-    deliveries_.clear();
-    for (NodeId i = 0; i < n_; ++i) {
-      if (!plan_.alive(i)) continue;
-      const std::optional<NodeId> target = plan_.target(i);
-      if (!target) continue;
-      if (sends && slot_counts_[i] > 0) transmit(*target, i);
-      if (replies && plan_.alive(*target) && slot_counts_[n_ + i] > 0) {
-        // The contacted neighbor answers with half of its own state.
-        transmit(i, n_ + i);
-      }
-    }
-    std::fill(inbox_counts_.begin(), inbox_counts_.end(), std::size_t{0});
-    for (const auto& [to, slot] : deliveries_) ++inbox_counts_[to];
-    inbox_offsets_[0] = 0;
-    for (NodeId j = 0; j < n_; ++j) {
-      inbox_offsets_[j + 1] = inbox_offsets_[j] + inbox_counts_[j];
-    }
-    inbox_slots_.resize(deliveries_.size());
-    for (NodeId j = 0; j < n_; ++j) inbox_counts_[j] = inbox_offsets_[j];
-    for (const auto& [to, slot] : deliveries_) {
-      inbox_slots_[inbox_counts_[to]++] = slot;
+    const std::span<const PlannedMessage> rows = plan_.messages();
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      delivered_[r] =
+          slots_.counts[r] > 0 && plan_.alive(rows[r].to) && !channel_drops();
     }
   }
 
-  /// Phase 4 — parallel batch absorption: per receiver, union the inbox
-  /// slots in delivery order into one message, run one receive.
+  /// Phase 4 — parallel batch absorption: per receiver, union the
+  /// delivered slots of incoming(i) in delivery order into one message,
+  /// run one receive.
   void absorb_inboxes() {
     exec::parallel_for_chunks(
         pool_.get(), n_,
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
           Classifier& scratch = scratch_[chunk];
           for (NodeId i = begin; i < end; ++i) {
-            const std::size_t ib = inbox_offsets_[i];
-            const std::size_t ie = inbox_offsets_[i + 1];
-            if (!plan_.alive(i) || ib == ie) continue;
+            const std::span<const std::size_t> inbox = plan_.incoming(i);
+            const auto delivered = [&](std::size_t r) { return delivered_[r]; };
+            if (!plan_.alive(i) ||
+                std::none_of(inbox.begin(), inbox.end(), delivered)) {
+              continue;
+            }
             load_state(i, scratch);
             if constexpr (Protocol::has_node_rng) {
               Protocol::node_rng(scratch) = rngs_[i];
             }
             Message combined;
-            for (std::size_t s = ib; s < ie; ++s) {
-              unpack_slot(inbox_slots_[s], combined);
+            for (const std::size_t r : inbox) {
+              if (delivered_[r]) read_row(slots_, r, combined);
             }
             scratch.receive(std::move(combined));
             store_state(i, scratch);
@@ -315,74 +283,57 @@ class SoaRoundEngine {
         });
   }
 
-  /// Queues one non-empty message slot for delivery — the same
-  /// dead-target / loss-draw sequence as RoundRunner::transmit.
-  void transmit(NodeId to, std::size_t slot) {
-    if (!plan_.alive(to)) return;  // packet to a dead mote (drop_at_crashed)
-    if (options_.message_loss_probability > 0.0 &&
-        loss_rng_.bernoulli(options_.message_loss_probability)) {
-      return;
+  /// One loss draw per message (only when losses are configured, to keep
+  /// loss-free executions' randomness untouched).
+  [[nodiscard]] bool channel_drops() {
+    return options_.message_loss_probability > 0.0 &&
+           loss_rng_.bernoulli(options_.message_loss_probability);
+  }
+
+  /// Flat collection storage, one row per node (state_) or per message
+  /// slot (slots_): row r holds counts[r] collections, collection c's
+  /// weight at weights[r·k + c] and its packed summary at
+  /// summaries[(r·k + c)·sd].
+  struct Pool {
+    Pool(std::size_t rows, std::size_t k, std::size_t sd)
+        : counts(rows, 0), weights(rows * k, 0), summaries(rows * k * sd, 0.0) {}
+    std::vector<std::uint32_t> counts;
+    std::vector<std::int64_t> weights;
+    std::vector<double> summaries;
+  };
+
+  /// Appends pool row `row`'s collections onto `out`, in row order.
+  void read_row(const Pool& pool, std::size_t row, Message& out) const {
+    for (std::size_t c = 0; c < pool.counts[row]; ++c) {
+      out.add(core::Collection<Summary>{
+          protocol_.unpack(&pool.summaries[(row * k_ + c) * sd_]),
+          core::Weight::from_quanta(pool.weights[row * k_ + c]),
+          {}});
     }
-    deliveries_.emplace_back(to, slot);
+  }
+
+  /// Packs `message` into pool row `row`. Only the task that owns the
+  /// row writes it, so parallel writes are disjoint.
+  void write_row(const Message& message, Pool& pool, std::size_t row) {
+    const std::size_t count = message.size();
+    DDC_ASSERT(count <= k_);
+    pool.counts[row] = static_cast<std::uint32_t>(count);
+    for (std::size_t c = 0; c < count; ++c) {
+      pool.weights[row * k_ + c] = message[c].weight.quanta();
+      protocol_.pack(message[c].summary, &pool.summaries[(row * k_ + c) * sd_]);
+    }
   }
 
   /// Rehydrates node i's classification into the scratch classifier.
   void load_state(NodeId i, Classifier& scratch) const {
-    auto& collections = scratch.mutable_classification().collections();
-    collections.clear();
-    for (std::size_t c = 0; c < counts_[i]; ++c) {
-      collections.push_back(core::Collection<Summary>{
-          protocol_.unpack(&summaries_[(i * k_ + c) * sd_]),
-          core::Weight::from_quanta(weights_[i * k_ + c]),
-          {}});
-    }
+    scratch.mutable_classification().collections().clear();
+    read_row(state_, i, scratch.mutable_classification());
   }
 
   /// Writes the scratch classifier's classification back into the pools.
   void store_state(NodeId i, const Classifier& scratch) {
-    const auto& classification = scratch.classification();
-    const std::size_t count = classification.size();
-    DDC_ASSERT(count >= 1 && count <= k_);
-    counts_[i] = static_cast<std::uint32_t>(count);
-    for (std::size_t c = 0; c < count; ++c) {
-      weights_[i * k_ + c] = classification[c].weight.quanta();
-      protocol_.pack(classification[c].summary,
-                     &summaries_[(i * k_ + c) * sd_]);
-    }
-  }
-
-  /// Packs an outgoing message into its arena slot. Only the owning
-  /// prepare task writes a given slot, so parallel emits are disjoint.
-  void emit(Message message, std::size_t slot) {
-    const std::size_t count = message.size();
-    DDC_ASSERT(count <= k_);
-    slot_counts_[slot] = static_cast<std::uint32_t>(count);
-    for (std::size_t c = 0; c < count; ++c) {
-      slot_weights_[slot * k_ + c] = message[c].weight.quanta();
-      protocol_.pack(message[c].summary,
-                     &slot_summaries_[(slot * k_ + c) * sd_]);
-    }
-  }
-
-  /// Appends a slot's collections onto `message` in slot order.
-  void unpack_slot(std::size_t slot, Message& message) const {
-    for (std::size_t c = 0; c < slot_counts_[slot]; ++c) {
-      message.add(core::Collection<Summary>{
-          protocol_.unpack(&slot_summaries_[(slot * k_ + c) * sd_]),
-          core::Weight::from_quanta(slot_weights_[slot * k_ + c]),
-          {}});
-    }
-  }
-
-  /// Rebuilds node i's classification into `out` (clearing it first).
-  void unpack_node(NodeId i, Message& out) const {
-    out.collections().clear();
-    for (std::size_t c = 0; c < counts_[i]; ++c) {
-      out.add(core::Collection<Summary>{
-          protocol_.unpack(&summaries_[(i * k_ + c) * sd_]),
-          core::Weight::from_quanta(weights_[i * k_ + c]),
-          {}});
-    }
+    DDC_ASSERT(!scratch.classification().empty());
+    write_row(scratch.classification(), state_, i);
   }
 
   Topology topology_;
@@ -391,26 +342,16 @@ class SoaRoundEngine {
   std::size_t n_;
   std::size_t k_;
   std::size_t sd_;
-  RoundPlan plan_;  // phases 1 and 5: the environment replay
+  RoundPlan plan_;  // phase 1 and 5 draws, and the round's message table
   stats::Rng loss_rng_;
 
-  // Node-state pools. counts_[i] collections live at rows i·k … i·k+c.
-  std::vector<std::uint32_t> counts_;
-  std::vector<std::int64_t> weights_;
-  std::vector<double> summaries_;
+  Pool state_;  // node i's state is row i
   std::vector<stats::Rng> rngs_;  // engaged iff Protocol::has_node_rng
 
-  // Message slot arena: slot i = node i's outgoing gossip, slot n+i =
-  // the reply addressed to node i. Parallel writes hit disjoint slots.
-  std::vector<std::uint32_t> slot_counts_;
-  std::vector<std::int64_t> slot_weights_;
-  std::vector<double> slot_summaries_;
-
-  // Deliveries of a round and the CSR inbox built from them.
-  std::vector<std::pair<NodeId, std::size_t>> deliveries_;
-  std::vector<std::size_t> inbox_counts_;
-  std::vector<std::size_t> inbox_offsets_;
-  std::vector<std::size_t> inbox_slots_;
+  // Message slot arena: slot r carries row r of plan_.messages(), and
+  // delivered_[r] is its phase-3 verdict.
+  Pool slots_;
+  std::vector<bool> delivered_;
 
   // One scratch classifier per parallel chunk; their stats accumulate
   // the work of every node they served (see partition_seconds()).

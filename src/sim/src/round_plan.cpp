@@ -15,43 +15,63 @@ RoundPlan::RoundPlan(std::size_t num_nodes, const RoundRunnerOptions& options)
       alive_count_(num_nodes),
       selector_(options.selection, num_nodes),
       targets_(num_nodes, kNoTarget),
-      req_counts_(num_nodes, 0),
-      req_offsets_(num_nodes + 1, 0),
-      req_initiators_(num_nodes, 0) {
+      rows_(2 * num_nodes),
+      init_offsets_(num_nodes + 1, 0),
+      out_offsets_(num_nodes + 1, 0),
+      out_rows_(2 * num_nodes, 0),
+      in_offsets_(num_nodes + 1, 0),
+      in_rows_(2 * num_nodes, 0) {
   DDC_EXPECTS(crash_probability_ >= 0.0 && crash_probability_ <= 1.0);
 }
 
 // ddcverify: hotpath
 void RoundPlan::plan(const Topology& topology) {
   DDC_EXPECTS(topology.num_nodes() == n_);
-  const bool replies = wants_reply();
   std::fill(targets_.begin(), targets_.end(), kNoTarget);
-  if (replies) {
-    std::fill(req_counts_.begin(), req_counts_.end(), std::size_t{0});
-  }
   for (NodeId i = 0; i < n_; ++i) {
     if (!alive_[i]) continue;
     const std::optional<NodeId> target =
         selector_.pick(topology, i, alive_, avoid_crashed_, env_rng_);
-    if (!target) continue;
-    targets_[i] = *target;
+    if (target) targets_[i] = *target;
+  }
+  build_messages();
+}
+
+// Appends the rows in initiator order, counting each node's outgoing
+// and incoming rows on the way, then lays both views out by a stable
+// counting sort: after the prefix sums offsets[j] marks the end of group
+// j, and the fill walks the rows backwards moving each group's cursor
+// down to its start, so every group lists its rows ascending.
+void RoundPlan::build_messages() {
+  // Initiators ship half their state (push, push-pull); contacts answer
+  // with half of theirs (pull, push-pull).
+  const bool sends = pattern_ != GossipPattern::pull;
+  const bool replies = pattern_ != GossipPattern::push;
+  std::fill(out_offsets_.begin(), out_offsets_.end(), std::size_t{0});
+  std::fill(in_offsets_.begin(), in_offsets_.end(), std::size_t{0});
+  num_rows_ = 0;
+  const auto add = [&](NodeId from, NodeId to, MessageKind kind) {
+    rows_[num_rows_++] = {from, to, kind};
+    ++out_offsets_[from];
+    ++in_offsets_[to];
+  };
+  for (NodeId i = 0; i < n_; ++i) {
+    init_offsets_[i] = num_rows_;
+    const NodeId target = targets_[i];
+    if (target == kNoTarget) continue;
+    if (sends) add(i, target, MessageKind::forward);
     // A crashed contact cannot answer (reachable only under
     // drop_at_crashed); the request simply vanishes.
-    if (replies && alive_[*target]) ++req_counts_[*target];
+    if (replies && alive_[target]) add(target, i, MessageKind::reply);
   }
-  if (replies) {
-    // Counting sort into the CSR: filling ascending by initiator
-    // reproduces a per-responder push_back in node order.
-    req_offsets_[0] = 0;
-    for (NodeId j = 0; j < n_; ++j) {
-      req_offsets_[j + 1] = req_offsets_[j] + req_counts_[j];
-    }
-    for (NodeId j = 0; j < n_; ++j) req_counts_[j] = req_offsets_[j];
-    for (NodeId i = 0; i < n_; ++i) {
-      const NodeId target = targets_[i];
-      if (target == kNoTarget || !alive_[target]) continue;
-      req_initiators_[req_counts_[target]++] = i;
-    }
+  init_offsets_[n_] = num_rows_;
+  for (NodeId j = 1; j <= n_; ++j) {
+    out_offsets_[j] += out_offsets_[j - 1];
+    in_offsets_[j] += in_offsets_[j - 1];
+  }
+  for (std::size_t r = num_rows_; r-- > 0;) {
+    out_rows_[--out_offsets_[rows_[r].from]] = r;
+    in_rows_[--in_offsets_[rows_[r].to]] = r;
   }
 }
 
