@@ -144,9 +144,10 @@ class GenericClassifier {
   }
 
   /// Mutable access to the classification, for LOADING externally held
-  /// state (the scale engine keeps node state in struct-of-arrays pools
-  /// and rehydrates a scratch classifier per node). The caller owns the
-  /// invariants while mutating: positive weights, size within [1, k].
+  /// state (the GM binding of the scale engine keeps node state in
+  /// struct-of-arrays pools and rehydrates a scratch classifier per
+  /// receive). The caller owns the invariants while mutating: positive
+  /// weights, size within [1, k].
   [[nodiscard]] Classification<Summary>& mutable_classification() noexcept {
     return classification_;
   }
@@ -188,46 +189,14 @@ class GenericClassifier {
     DDC_ENSURES(is_valid_grouping(groups, flat_.size()));
     DDC_ENSURES(groups.size() <= options_.k);
 
-    rehome_quantum_singletons(big_set, flat_, groups);
+    GroupingLists lists(groups);
+    stats_.singleton_rehomes += rehome_quantum_singletons(
+        lists,
+        [&](std::size_t j) { return big_set[j].weight.is_single_quantum(); },
+        [&](std::size_t a, std::size_t b) {
+          return SP::distance(flat_[a].summary, flat_[b].summary);
+        });
     return groups;
-  }
-
-  /// Constraint (2) of Section 4.1: every collection of weight exactly q
-  /// must be merged with at least one other. Any grouping that leaves such
-  /// a collection alone is repaired by moving it into the group whose
-  /// members are nearest in dS (the proof only needs *some* merge to
-  /// happen; nearest keeps the repair quality-neutral).
-  void rehome_quantum_singletons(const Classification<Summary>& big_set,
-                                 const std::vector<WeightedSummary<Summary>>& flat,
-                                 Grouping& groups) {
-    if (groups.size() <= 1) return;  // nothing to re-home into
-    for (std::size_t g = 0; g < groups.size();) {
-      if (groups[g].size() != 1 ||
-          !big_set[groups[g].front()].weight.is_single_quantum()) {
-        ++g;
-        continue;
-      }
-      const std::size_t lone = groups[g].front();
-      // Find the nearest collection in any other group.
-      std::size_t best_group = groups.size();
-      double best_distance = 0.0;
-      for (std::size_t h = 0; h < groups.size(); ++h) {
-        if (h == g) continue;
-        for (const std::size_t j : groups[h]) {
-          const double dist =
-              SP::distance(flat[lone].summary, flat[j].summary);
-          if (best_group == groups.size() || dist < best_distance) {
-            best_group = h;
-            best_distance = dist;
-          }
-        }
-      }
-      DDC_ASSERT(best_group < groups.size());
-      groups[best_group].push_back(lone);
-      groups.erase(groups.begin() + static_cast<std::ptrdiff_t>(g));
-      ++stats_.singleton_rehomes;
-      // Do not advance g: the element now at position g is unexamined.
-    }
   }
 
   /// Merges each group into one collection (Algorithm 1, line 11).

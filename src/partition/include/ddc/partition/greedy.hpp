@@ -9,6 +9,7 @@
 // the k bound.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
 #include <vector>
@@ -20,6 +21,16 @@
 #include <ddc/linalg/simd.hpp>
 
 namespace ddc::partition {
+
+/// Caller-owned working memory of GreedyDistancePartition::partition_rows:
+/// the working centroids and weights (merged in place), one merge result,
+/// and the agglomeration's buffers, which hold the returned grouping.
+struct PackedPartitionBuffers {
+  std::vector<double> rows;
+  std::vector<double> weights;
+  std::vector<double> merged;
+  common::AgglomerationBuffers agglomeration;
+};
 
 /// PartitionPolicy: greedy closest-pair merging under SP::distance.
 /// Stateless; copyable.
@@ -40,10 +51,59 @@ namespace ddc::partition {
 /// scalar kernels::distance2 — which is itself a transcription of
 /// linalg::distance2's accumulation order — so the grouping is
 /// unchanged bit for bit (greedy_partition_property_test pits the
-/// packed path against the naive reference directly).
+/// packed path against the naive reference directly). The packed path is
+/// also public as partition_rows, which the SoA engine's centroid receive
+/// runs straight on its pool rows.
 template <core::SummaryPolicy SP>
 struct GreedyDistancePartition {
   using Summary = typename SP::Summary;
+
+  /// The packed path on raw rows, in the fixed-dimension kernel D (see
+  /// linalg::kernels::dispatch_dim): groups m summaries given as m×d
+  /// row-major `rows` with weights `weights`. Neither input is modified.
+  /// The grouping lives in `buffers` until their next use; with buffers
+  /// kept across calls it allocates nothing once it has seen its largest
+  /// m. Requires SP::kPackedEuclideanSummary and SP::merge_rows.
+  // ddcverify: hotpath
+  template <std::size_t D>
+  static common::GroupLists& partition_rows(const double* rows,
+                                            const double* weights,
+                                            std::size_t m, std::size_t d,
+                                            std::size_t k,
+                                            PackedPartitionBuffers& buffers) {
+    buffers.rows.assign(rows, rows + m * d);
+    buffers.weights.assign(weights, weights + m);
+    buffers.merged.resize(d);
+    double* const work = buffers.rows.data();
+    double* const w = buffers.weights.data();
+    double* const merged = buffers.merged.data();
+    const auto row = [&](std::size_t i) { return work + i * d; };
+    const linalg::simd::DistanceBatchFn fill =
+        linalg::simd::batch_distance_kernel();
+    return common::agglomerate_to_k(
+        m, k,
+        [&](std::size_t a, std::size_t b) {
+          // Post-merge refresh distances: one pair at a time off the
+          // packed rows — kernels::distance2 is bit-identical to
+          // SP::distance (linalg::distance2) on the same components.
+          return linalg::kernels::distance2<D>(row(a), row(b), d);
+        },
+        [&](std::size_t a, std::size_t b) {
+          SP::template merge_rows<D>(
+              d,
+              [&](auto&& visit) {
+                visit(w[a], row(a));
+                visit(w[b], row(b));
+              },
+              merged);
+          std::copy_n(merged, d, row(a));
+          w[a] = w[a] + w[b];
+        },
+        [&](std::size_t a, std::size_t count, double* out) {
+          fill(row(a), row(a + 1), count, out, d);
+        },
+        buffers.agglomeration);
+  }
 
   [[nodiscard]] core::Grouping partition(
       const std::vector<core::WeightedSummary<Summary>>& collections,
@@ -85,37 +145,18 @@ struct GreedyDistancePartition {
       std::size_t k) const {
     const std::size_t m = collections.size();
     const std::size_t d = collections.front().summary.dim();
-    std::vector<core::WeightedSummary<Summary>> merged(collections.begin(),
-                                                       collections.end());
-    std::vector<double> flat(m * d);
+    std::vector<double> rows(m * d);
+    std::vector<double> weights(m);
     for (std::size_t i = 0; i < m; ++i) {
-      const auto& elems = merged[i].summary.data();
-      for (std::size_t c = 0; c < d; ++c) flat[i * d + c] = elems[c];
+      std::copy_n(collections[i].summary.data().data(), d, &rows[i * d]);
+      weights[i] = collections[i].weight;
     }
-    const auto row = [&](std::size_t i) { return flat.data() + i * d; };
-    const linalg::simd::DistanceBatchFn fill =
-        linalg::simd::batch_distance_kernel();
-    return common::agglomerate_to_k(
-        m, k,
-        [&](std::size_t a, std::size_t b) {
-          // Post-merge refresh distances: one pair at a time off the
-          // packed rows — kernels::distance2 is bit-identical to
-          // SP::distance (linalg::distance2) on the same components.
-          return linalg::kernels::dispatch_dim(d, [&](auto dd) {
-            return linalg::kernels::distance2<dd()>(row(a), row(b), d);
-          });
-        },
-        [&](std::size_t a, std::size_t b) {
-          merged[a] = core::WeightedSummary<Summary>{
-              SP::merge_set({merged[a], merged[b]}),
-              merged[a].weight + merged[b].weight};
-          const auto& elems = merged[a].summary.data();
-          DDC_EXPECTS(elems.size() == d);
-          for (std::size_t c = 0; c < d; ++c) flat[a * d + c] = elems[c];
-        },
-        [&](std::size_t a, std::size_t count, double* out) {
-          fill(row(a), row(a + 1), count, out, d);
-        });
+    PackedPartitionBuffers buffers;
+    return linalg::kernels::dispatch_dim(d, [&](auto dd) {
+      return partition_rows<dd()>(rows.data(), weights.data(), m, d, k,
+                                  buffers)
+          .to_vectors();
+    });
   }
 };
 

@@ -13,25 +13,38 @@
 //     row of RoundPlan's message table (slot = row id), so the parallel
 //     prepare phase writes disjoint slots with no allocation and no
 //     synchronization;
-//   * inboxes: none of their own — a receiver unions the delivered slots
+//   * inboxes: none of their own — a receiver reads the delivered slots
 //     of RoundPlan::incoming(i), which lists them in delivery order.
 //
+// The round works on those rows directly:
+//
+//   * the split (Algorithm 1, lines 5–7) is protocol-independent on
+//     packed rows — each collection keeps Weight::half() of its quanta,
+//     the slot gets the remainder, a one-quantum collection sends
+//     nothing, and summary doubles are copied bit for bit — so the
+//     engine does it itself, for every protocol, with no scratch;
+//   * the receive (lines 8–11) is one Protocol hook mapping the node's
+//     row plus its delivered slots to the node's new row, with a
+//     per-chunk workspace. The centroid binding runs it allocation-free
+//     on the packed rows; the GM binding rehydrates a scratch
+//     GenericClassifier (see ddc/gossip/scale.hpp).
+//
 // Bit-identity with RoundRunner — the contract the golden equivalence
-// suite pins — holds BY CONSTRUCTION, not by re-implementation: each
-// worker chunk owns a scratch classifier (the very GenericClassifier the
-// object engine runs); per node the engine rehydrates the scratch from
-// the pools, runs the unmodified split/receive kernels, and writes the
-// state back. Round structure, draw order (selection, loss, crash) and
-// per-node call order replicate RoundRunner phase for phase, because
-// both read the same RoundPlan: its draws (phases 1 and 5) and its
-// message table (the split, delivery and absorb orders of 2–4):
+// suite pins — holds because both sides run one arithmetic: the split is
+// Weight's halving rule, and every receive hook reproduces the
+// classifier's union order, partition, one-quantum re-homing
+// (core::rehome_quantum_singletons) and mergeSet operation for operation.
+// Round structure, draw order (selection, loss, crash) and per-node call
+// order replicate RoundRunner phase for phase, because both read the same
+// RoundPlan: its draws (phases 1 and 5) and its message table (the split,
+// delivery and absorb orders of 2–4):
 //
 //   1. plan     (sequential)  selection draws, message table
 //   2. prepare  (parallel)    per node: one split per outgoing(j) row
 //   3. deliver  (sequential)  one delivered flag per row, loss draws in
 //                             row order
-//   4. absorb   (parallel)    per receiver: union the delivered slots of
-//                             incoming(i), one receive
+//   4. absorb   (parallel)    per live receiver with a delivered slot in
+//                             incoming(i): one receive hook
 //   5. crash    (sequential)  end-of-round crash draws
 //
 // Deliberate non-features: no TraceRecorder (a per-event log defeats the
@@ -40,20 +53,24 @@
 // event heap is inherently per-node and stays on AsyncRunner.
 //
 // The Protocol parameter describes how one protocol's node state embeds
-// into the pools (see ddc/gossip/scale.hpp for the centroid and GM
-// bindings):
+// into the pools and how it receives (see ddc/gossip/scale.hpp for the
+// centroid and GM bindings):
 //
-//   using Classifier = ...;            // the scratch node type
-//   using Summary    = ...;            // its summary type
-//   static constexpr bool has_node_rng;// per-node persistent RNG stream?
-//   std::size_t k();                   // max collections per node
+//   using Summary   = ...;              // the unpacked summary type
+//   using Workspace = ...;              // per-chunk receive scratch
+//   std::size_t k();                    // max collections per node
 //   std::int64_t quanta_per_unit();
-//   std::size_t summary_doubles();     // sd: packed doubles per summary
-//   Classifier make_scratch();         // state is overwritten before use
+//   std::size_t summary_doubles();      // sd: packed doubles per summary
 //   void pack(const Summary&, double* out);
-//   Summary unpack(const double* in);  // exact round-trip with pack
-//   stats::Rng initial_rng(NodeId);            // iff has_node_rng
-//   static stats::Rng& node_rng(Classifier&);  // iff has_node_rng
+//   Summary unpack(const double* in);   // exact round-trip with pack
+//   Workspace make_workspace(std::size_t max_collections);
+//   void receive(Workspace&, NodeId i, SoaRow own, const SoaInbox&);
+//   double Workspace::partition_seconds() const;
+//   double Workspace::em_seconds() const;  // optional
+//
+// receive() runs concurrently for distinct nodes (one workspace per
+// chunk); `max_collections` bounds the union any receive sees on this
+// topology.
 #pragma once
 
 #include <algorithm>
@@ -65,7 +82,8 @@
 #include <vector>
 
 #include <ddc/common/assert.hpp>
-#include <ddc/core/classifier.hpp>
+#include <ddc/core/collection.hpp>
+#include <ddc/core/weight.hpp>
 #include <ddc/exec/parallel_for.hpp>
 #include <ddc/exec/thread_pool.hpp>
 #include <ddc/sim/gossip_node.hpp>
@@ -76,11 +94,107 @@
 
 namespace ddc::sim {
 
+/// Flat collection storage, one row per node (node state) or per message
+/// slot: row r holds counts[r] collections, collection c's weight at
+/// weights[r·k + c] and its packed summary at summaries[(r·k + c)·sd].
+struct SoaPool {
+  SoaPool(std::size_t rows, std::size_t k, std::size_t sd)
+      : k(k),
+        sd(sd),
+        counts(rows, 0),
+        weights(rows * k, 0),
+        summaries(rows * k * sd, 0.0) {}
+  std::size_t k;
+  std::size_t sd;
+  std::vector<std::uint32_t> counts;
+  std::vector<std::int64_t> weights;
+  std::vector<double> summaries;
+};
+
+/// Read-only view of one pool row.
+struct SoaRowView {
+  std::size_t count;
+  const std::int64_t* weights;
+  const double* summaries;
+  std::size_t sd;
+
+  [[nodiscard]] const double* summary(std::size_t c) const {
+    return summaries + c * sd;
+  }
+};
+
+/// Writable view of one pool row (room for k collections).
+struct SoaRow {
+  std::uint32_t* count;
+  std::int64_t* weights;
+  double* summaries;
+  std::size_t sd;
+
+  [[nodiscard]] double* summary(std::size_t c) const {
+    return summaries + c * sd;
+  }
+  [[nodiscard]] SoaRowView view() const {
+    return {*count, weights, summaries, sd};
+  }
+};
+
+[[nodiscard]] inline SoaRowView row_view(const SoaPool& pool, std::size_t r) {
+  return {pool.counts[r], &pool.weights[r * pool.k],
+          &pool.summaries[r * pool.k * pool.sd], pool.sd};
+}
+
+[[nodiscard]] inline SoaRow row_ref(SoaPool& pool, std::size_t r) {
+  return {&pool.counts[r], &pool.weights[r * pool.k],
+          &pool.summaries[r * pool.k * pool.sd], pool.sd};
+}
+
+/// A receiver's delivered message slots, in delivery order.
+class SoaInbox {
+ public:
+  SoaInbox(const SoaPool& slots, std::span<const std::size_t> rows,
+           const std::vector<bool>& delivered)
+      : slots_(slots), rows_(rows), delivered_(delivered) {}
+
+  /// Calls `fn(SoaRowView)` once per delivered slot, in delivery order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const std::size_t r : rows_) {
+      if (delivered_[r]) fn(row_view(slots_, r));
+    }
+  }
+
+ private:
+  const SoaPool& slots_;
+  std::span<const std::size_t> rows_;
+  const std::vector<bool>& delivered_;
+};
+
+/// Appends `row`'s collections to `out`, in row order, unpacked through
+/// `protocol`.
+template <typename Protocol, typename Message>
+void unpack_row(const Protocol& protocol, SoaRowView row, Message& out) {
+  for (std::size_t c = 0; c < row.count; ++c) {
+    out.add({protocol.unpack(row.summary(c)),
+             core::Weight::from_quanta(row.weights[c]),
+             {}});
+  }
+}
+
+/// Packs `message` (at most k collections) into `row`.
+template <typename Protocol, typename Message>
+void pack_row(const Protocol& protocol, const Message& message, SoaRow row) {
+  *row.count = static_cast<std::uint32_t>(message.size());
+  for (std::size_t c = 0; c < message.size(); ++c) {
+    row.weights[c] = message[c].weight.quanta();
+    protocol.pack(message[c].summary, row.summary(c));
+  }
+}
+
 template <typename Protocol>
 class SoaRoundEngine {
  public:
-  using Classifier = typename Protocol::Classifier;
   using Summary = typename Protocol::Summary;
+  using Workspace = typename Protocol::Workspace;
   using Message = core::Classification<Summary>;
 
   /// Builds the engine over `topology` with node i's initial state being
@@ -111,14 +225,11 @@ class SoaRoundEngine {
       state_.weights[i * k_] = protocol_.quanta_per_unit();
       protocol_.pack(initial_summary(i), &state_.summaries[i * k_ * sd_]);
     }
-    if constexpr (Protocol::has_node_rng) {
-      rngs_.reserve(n_);
-      for (NodeId i = 0; i < n_; ++i) rngs_.push_back(protocol_.initial_rng(i));
-    }
+    const std::size_t max_collections = k_ * (max_inbox_rows() + 1);
     const std::size_t chunks = exec::parallel_chunk_count(pool_.get(), n_);
-    scratch_.reserve(chunks);
+    workspaces_.reserve(chunks);
     for (std::size_t c = 0; c < chunks; ++c) {
-      scratch_.push_back(protocol_.make_scratch());
+      workspaces_.push_back(protocol_.make_workspace(max_collections));
     }
   }
 
@@ -167,7 +278,7 @@ class SoaRoundEngine {
   [[nodiscard]] Message classification_of(NodeId i) const {
     DDC_EXPECTS(i < n_);
     Message result;
-    read_row(state_, i, result);
+    unpack_row(protocol_, row_view(state_, i), result);
     return result;
   }
 
@@ -180,7 +291,7 @@ class SoaRoundEngine {
     Message scratch;
     for (NodeId i = 0; i < n_; ++i) {
       scratch.collections().clear();
-      read_row(state_, i, scratch);
+      unpack_row(protocol_, row_view(state_, i), scratch);
       fn(i, static_cast<const Message&>(scratch));
     }
   }
@@ -197,47 +308,58 @@ class SoaRoundEngine {
     return acc;
   }
 
-  /// Wall-clock the scratch classifiers spent inside the partition
-  /// policy, summed over chunks (equals the per-node sum the object
-  /// engine reports, since every receive runs on exactly one scratch).
+  /// Wall-clock the receives spent inside the partition step, summed
+  /// over the chunk workspaces (equals the per-node sum the object
+  /// engine reports, since every receive runs on exactly one workspace).
   [[nodiscard]] double partition_seconds() const noexcept {
     double acc = 0.0;
-    for (const Classifier& s : scratch_) acc += s.stats().partition_seconds;
+    for (const Workspace& w : workspaces_) acc += w.partition_seconds();
     return acc;
   }
 
-  /// Wall-clock inside EM, when the protocol's policy exposes it; 0.0 for
-  /// policies without an EM stage.
+  /// Wall-clock inside EM, when the protocol's workspace exposes it; 0.0
+  /// for protocols without an EM stage.
   [[nodiscard]] double em_seconds() const noexcept {
     double acc = 0.0;
-    for (const Classifier& s : scratch_) {
-      if constexpr (requires { s.partition_policy().em_seconds(); }) {
-        acc += s.partition_policy().em_seconds();
-      }
+    for (const Workspace& w : workspaces_) {
+      if constexpr (requires { w.em_seconds(); }) acc += w.em_seconds();
     }
     return acc;
   }
 
  private:
-  /// Phase 2 — parallel splits into the slot arena. Each chunk's scratch
-  /// classifier serves its nodes one after another; per node it splits
-  /// once per row of plan_.outgoing(j), in that order — the order
+  /// Phase 2 — parallel splits into the slot arena: node j splits once
+  /// per row of plan_.outgoing(j), in that order — the order
   /// RoundRunner::prepare_messages uses.
   void prepare_messages() {
     exec::parallel_for_chunks(
         pool_.get(), n_,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          Classifier& scratch = scratch_[chunk];
+        [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
           for (NodeId j = begin; j < end; ++j) {
-            const std::span<const std::size_t> rows = plan_.outgoing(j);
-            if (rows.empty()) continue;
-            load_state(j, scratch);
-            for (const std::size_t r : rows) {
-              write_row(scratch.split(), slots_, r);
-            }
-            store_state(j, scratch);
+            for (const std::size_t r : plan_.outgoing(j)) split_into(j, r);
           }
         });
+  }
+
+  /// Algorithm 1, lines 5–7, on packed rows: each of node j's
+  /// collections keeps Weight::half() of its quanta and slot r receives
+  /// the remainder with a bit-for-bit copy of the summary; a one-quantum
+  /// collection sends nothing (so the slot may be empty).
+  // ddcverify: hotpath
+  void split_into(NodeId j, std::size_t r) {
+    std::uint32_t sent = 0;
+    for (std::size_t c = 0; c < state_.counts[j]; ++c) {
+      std::int64_t& quanta = state_.weights[j * k_ + c];
+      const core::Weight weight = core::Weight::from_quanta(quanta);
+      const core::Weight out = weight.remainder_after_half();
+      if (out.is_zero()) continue;
+      quanta = weight.half().quanta();
+      slots_.weights[r * k_ + sent] = out.quanta();
+      std::copy_n(&state_.summaries[(j * k_ + c) * sd_], sd_,
+                  &slots_.summaries[(r * k_ + sent) * sd_]);
+      ++sent;
+    }
+    slots_.counts[r] = sent;
   }
 
   /// Phase 3 — the wire, sequential in row (delivery) order: a non-empty
@@ -251,14 +373,13 @@ class SoaRoundEngine {
     }
   }
 
-  /// Phase 4 — parallel batch absorption: per receiver, union the
-  /// delivered slots of incoming(i) in delivery order into one message,
-  /// run one receive.
+  /// Phase 4 — parallel batch absorption: every live receiver with at
+  /// least one delivered slot in incoming(i) runs one receive hook.
   void absorb_inboxes() {
     exec::parallel_for_chunks(
         pool_.get(), n_,
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          Classifier& scratch = scratch_[chunk];
+          Workspace& workspace = workspaces_[chunk];
           for (NodeId i = begin; i < end; ++i) {
             const std::span<const std::size_t> inbox = plan_.incoming(i);
             const auto delivered = [&](std::size_t r) { return delivered_[r]; };
@@ -266,19 +387,8 @@ class SoaRoundEngine {
                 std::none_of(inbox.begin(), inbox.end(), delivered)) {
               continue;
             }
-            load_state(i, scratch);
-            if constexpr (Protocol::has_node_rng) {
-              Protocol::node_rng(scratch) = rngs_[i];
-            }
-            Message combined;
-            for (const std::size_t r : inbox) {
-              if (delivered_[r]) read_row(slots_, r, combined);
-            }
-            scratch.receive(std::move(combined));
-            store_state(i, scratch);
-            if constexpr (Protocol::has_node_rng) {
-              rngs_[i] = Protocol::node_rng(scratch);
-            }
+            protocol_.receive(workspace, i, row_ref(state_, i),
+                              SoaInbox(slots_, inbox, delivered_));
           }
         });
   }
@@ -290,50 +400,15 @@ class SoaRoundEngine {
            loss_rng_.bernoulli(options_.message_loss_probability);
   }
 
-  /// Flat collection storage, one row per node (state_) or per message
-  /// slot (slots_): row r holds counts[r] collections, collection c's
-  /// weight at weights[r·k + c] and its packed summary at
-  /// summaries[(r·k + c)·sd].
-  struct Pool {
-    Pool(std::size_t rows, std::size_t k, std::size_t sd)
-        : counts(rows, 0), weights(rows * k, 0), summaries(rows * k * sd, 0.0) {}
-    std::vector<std::uint32_t> counts;
-    std::vector<std::int64_t> weights;
-    std::vector<double> summaries;
-  };
-
-  /// Appends pool row `row`'s collections onto `out`, in row order.
-  void read_row(const Pool& pool, std::size_t row, Message& out) const {
-    for (std::size_t c = 0; c < pool.counts[row]; ++c) {
-      out.add(core::Collection<Summary>{
-          protocol_.unpack(&pool.summaries[(row * k_ + c) * sd_]),
-          core::Weight::from_quanta(pool.weights[row * k_ + c]),
-          {}});
+  /// The most message rows any node can receive in one round: a forward
+  /// from each in-neighbor plus the reply to its own contact.
+  [[nodiscard]] std::size_t max_inbox_rows() const {
+    std::vector<std::uint32_t> in_degree(n_, 0);
+    for (NodeId i = 0; i < n_; ++i) {
+      for (const NodeId t : topology_.neighbors(i)) ++in_degree[t];
     }
-  }
-
-  /// Packs `message` into pool row `row`. Only the task that owns the
-  /// row writes it, so parallel writes are disjoint.
-  void write_row(const Message& message, Pool& pool, std::size_t row) {
-    const std::size_t count = message.size();
-    DDC_ASSERT(count <= k_);
-    pool.counts[row] = static_cast<std::uint32_t>(count);
-    for (std::size_t c = 0; c < count; ++c) {
-      pool.weights[row * k_ + c] = message[c].weight.quanta();
-      protocol_.pack(message[c].summary, &pool.summaries[(row * k_ + c) * sd_]);
-    }
-  }
-
-  /// Rehydrates node i's classification into the scratch classifier.
-  void load_state(NodeId i, Classifier& scratch) const {
-    scratch.mutable_classification().collections().clear();
-    read_row(state_, i, scratch.mutable_classification());
-  }
-
-  /// Writes the scratch classifier's classification back into the pools.
-  void store_state(NodeId i, const Classifier& scratch) {
-    DDC_ASSERT(!scratch.classification().empty());
-    write_row(scratch.classification(), state_, i);
+    return std::size_t{*std::max_element(in_degree.begin(), in_degree.end())} +
+           1;
   }
 
   Topology topology_;
@@ -345,17 +420,16 @@ class SoaRoundEngine {
   RoundPlan plan_;  // phase 1 and 5 draws, and the round's message table
   stats::Rng loss_rng_;
 
-  Pool state_;  // node i's state is row i
-  std::vector<stats::Rng> rngs_;  // engaged iff Protocol::has_node_rng
+  SoaPool state_;  // node i's state is row i
 
   // Message slot arena: slot r carries row r of plan_.messages(), and
   // delivered_[r] is its phase-3 verdict.
-  Pool slots_;
+  SoaPool slots_;
   std::vector<bool> delivered_;
 
-  // One scratch classifier per parallel chunk; their stats accumulate
+  // One receive workspace per parallel chunk; their timers accumulate
   // the work of every node they served (see partition_seconds()).
-  std::vector<Classifier> scratch_;
+  std::vector<Workspace> workspaces_;
 
   std::unique_ptr<exec::ThreadPool> pool_;
   std::size_t round_ = 0;

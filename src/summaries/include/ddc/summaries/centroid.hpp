@@ -7,9 +7,13 @@
 // statistically).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
+#include <ddc/common/assert.hpp>
 #include <ddc/core/collection.hpp>
+#include <ddc/linalg/kernels.hpp>
 #include <ddc/linalg/vector.hpp>
 
 namespace ddc::summaries {
@@ -35,6 +39,28 @@ struct CentroidPolicy {
   /// merged value multiset (R4).
   [[nodiscard]] static Summary merge_set(
       const std::vector<core::WeightedSummary<Summary>>& parts);
+
+  /// mergeSet on packed centroids, in the fixed-dimension kernel D (see
+  /// linalg::kernels::dispatch_dim): `for_each_part(visit)` must call
+  /// `visit(weight, row)` once per part, in part order, each time it is
+  /// invoked (twice here). Writes Σ (wᵢ / Σw) · rowᵢ, accumulated from
+  /// zero in part order, to the d doubles at `out`, which must not alias
+  /// a part. merge_set is this function over Vector parts, so the packed
+  /// and object paths share one arithmetic.
+  template <std::size_t D, typename ForEachPart>
+  static void merge_rows(std::size_t d, ForEachPart&& for_each_part,
+                         double* out) {
+    double total = 0.0;
+    for_each_part([&](double weight, const double*) {
+      DDC_EXPECTS(weight > 0.0);
+      total += weight;
+    });
+    std::fill_n(out, d, 0.0);
+    // In-place `out += scale * row` — no scaled temporary per part.
+    for_each_part([&](double weight, const double* row) {
+      linalg::kernels::add_scaled<D>(out, weight / total, row, d);
+    });
+  }
 
   /// dS: Euclidean distance between centroids.
   [[nodiscard]] static double distance(const Summary& a, const Summary& b) {

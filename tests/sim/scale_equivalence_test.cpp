@@ -6,10 +6,11 @@
 //
 //   1. SoaRoundEngine ≡ RoundRunner for the supported protocols, across
 //      3 seeds × {centroid, gm} × {lossless, loss 0.1}, plus crash
-//      models, gossip patterns, selection policies, thread counts and
-//      topology families — the struct-of-arrays pools, message arena and
-//      scratch-classifier rehydration must not change a single mantissa
-//      bit relative to one-object-per-node execution.
+//      models, gossip patterns, selection policies, thread counts,
+//      topology families and a dimension × k × coarse-quanta matrix —
+//      the struct-of-arrays pools, message arena, packed split and
+//      packed centroid receive must not change a single mantissa bit
+//      relative to one-object-per-node execution.
 //   2. EngineConfig-built round runners ≡ hand-assembled round runners
 //      — the unified config object is a pure re-expression, not a new
 //      code path.
@@ -179,6 +180,73 @@ TEST(ScaleEquivalence, GmRoundBitIdentical) {
 // ---------------------------------------------------------------------------
 // Contract 1, stressed along every remaining axis.
 // ---------------------------------------------------------------------------
+
+/// Bimodal inputs in `dim` dimensions: coordinate 0 separates the modes.
+std::vector<linalg::Vector> bimodal_inputs_dim(std::size_t n, std::size_t dim,
+                                               std::uint64_t seed) {
+  stats::Rng rng(seed);
+  std::vector<linalg::Vector> inputs;
+  inputs.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    linalg::Vector v(dim);
+    for (std::size_t c = 0; c < dim; ++c) v[c] = rng.normal(0.0, 1.0);
+    if (i % 2 == 1) v[0] += 25.0;
+    inputs.push_back(std::move(v));
+  }
+  return inputs;
+}
+
+/// Sum of one-quantum re-homings over a classic runner's nodes.
+template <typename Runner>
+std::uint64_t singleton_rehomes(const Runner& runner) {
+  std::uint64_t total = 0;
+  for (const auto& node : runner.nodes()) {
+    total += node.classifier().stats().singleton_rehomes;
+  }
+  return total;
+}
+
+// d = 1 and 3 take fixed-dimension kernels, d = 5 the kDynamic fallback.
+// Four quanta per unit exhaust the halving within two splits, so
+// one-quantum collections — and their re-homing — occur all the time.
+TEST(ScaleEquivalence, DimensionKAndQuantaMatrix) {
+  constexpr std::size_t kNodes = 48;
+  constexpr std::size_t kMatrixRounds = 12;
+  for (const std::size_t dim : {1, 3, 5}) {
+    const auto inputs = bimodal_inputs_dim(kNodes, dim, 23 + dim);
+    for (const std::size_t k : {1, 2, 4}) {
+      for (const double loss : {0.0, 0.1}) {
+        EngineConfig config = base_config(kNodes, 23);
+        config.k = k;
+        config.quanta_per_unit = 4;
+        config.faults.message_loss_probability = loss;
+        const std::string label = "dim " + std::to_string(dim) + " k " +
+                                  std::to_string(k) + " loss " +
+                                  std::to_string(loss);
+
+        auto centroid = gossip::make_centroid_round_runner(
+            Topology::complete(kNodes), inputs, config);
+        centroid.run_rounds(kMatrixRounds);
+        auto centroid_scale = gossip::make_centroid_scale_engine(
+            Topology::complete(kNodes), inputs, config);
+        centroid_scale.run_rounds(kMatrixRounds);
+        EXPECT_EQ(digest_nodes(centroid), digest_engine(centroid_scale))
+            << "centroid " << label;
+        if (k > 1) {
+          EXPECT_GT(singleton_rehomes(centroid), 0U) << label;
+        }
+
+        auto gm = gossip::make_gm_round_runner(Topology::complete(kNodes),
+                                               inputs, config);
+        gm.run_rounds(kMatrixRounds);
+        auto gm_scale = gossip::make_gm_scale_engine(
+            Topology::complete(kNodes), inputs, config);
+        gm_scale.run_rounds(kMatrixRounds);
+        EXPECT_EQ(digest_nodes(gm), digest_engine(gm_scale)) << "gm " << label;
+      }
+    }
+  }
+}
 
 /// Runs classic and scale side by side on the same topology/config and
 /// expects identical digests (and, with crashes, identical alive sets).
