@@ -8,7 +8,7 @@
 // fans across the shared bench pool — each n is an independent simulation.
 //
 // Part 2: engine thread scaling. The phase-split round engine parallelizes
-// the prepare/absorb phases with bit-identical results at any thread
+// the plan/prepare/absorb phases with bit-identical results at any thread
 // count; this part times a fixed n = 512 GM workload at 1 and 8 worker
 // threads, checks the classifications match byte-for-byte, and reports the
 // speedup. (On a single-core host the 8-thread run cannot be faster —

@@ -21,9 +21,11 @@
 #                  shard batch+ack round must complete with the
 #                  1-shard-identical digest, and the planted
 #                  empty-barrier-retransmit bug must be caught.
-#   5. TSan        exec/sim/gossip suites under ThreadSanitizer — the
-#                  parallel engine's determinism tests drive the pool
-#                  at several thread counts, which is where races live.
+#   5. TSan        exec/sim/gossip suites and the allocation-count
+#                  rounds under ThreadSanitizer — the parallel engine's
+#                  determinism tests and RoundPlan's lane-count test
+#                  drive the pool at several thread counts, which is
+#                  where races live.
 #   6. ASan+UBSan  the FULL ctest suite under AddressSanitizer +
 #                  UndefinedBehaviorSanitizer. Not just wire/net/io:
 #                  the partition/EM hot paths rewritten in PR 3 run
@@ -95,18 +97,20 @@ build/tests/schedule_tests
 echo "Schedule gate passed: all explored schedules barrier-live and bit-exact."
 
 echo
-echo "=== gate 5/9: ThreadSanitizer (exec, sim, gossip) ==="
+echo "=== gate 5/9: ThreadSanitizer (exec, sim, gossip, alloc) ==="
 cmake -B "$TSAN_DIR" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-cmake --build "$TSAN_DIR" --target exec_tests sim_tests gossip_tests -j "$(nproc)"
+cmake --build "$TSAN_DIR" --target exec_tests sim_tests gossip_tests \
+  alloc_tests -j "$(nproc)"
 
 "$TSAN_DIR"/tests/exec_tests
 "$TSAN_DIR"/tests/sim_tests
 "$TSAN_DIR"/tests/gossip_tests
+"$TSAN_DIR"/tests/alloc_tests
 
-echo "TSan-clean: exec, sim and gossip test suites."
+echo "TSan-clean: exec, sim, gossip and alloc test suites."
 
 echo
 echo "=== gate 6/9: ASan+UBSan, full test suite ==="

@@ -63,8 +63,8 @@ void declare_engine_flags(Flags& flags, const sim::EngineConfig& defaults,
   }
   if (set.parallelism) {
     flags.declare("threads",
-                  "worker threads for the prepare/absorb phases (0 = one per "
-                  "hardware thread); results are identical at any setting",
+                  "worker threads for the round's parallel phases (0 = one "
+                  "per hardware thread); results are identical at any setting",
                   std::to_string(defaults.parallelism));
   }
   if (set.protocol) {
@@ -82,8 +82,9 @@ void declare_engine_flags(Flags& flags, const sim::EngineConfig& defaults,
   }
   if (set.timing) {
     flags.declare_bool("timing",
-                       "print accumulated per-phase wall-clock (prepare / "
-                       "absorb / partition / em) after the run (gm/centroid)");
+                       "print accumulated per-phase wall-clock (plan / "
+                       "prepare / deliver / absorb / partition / em) after "
+                       "the run (gm/centroid)");
   }
   flags.declare("seed", "RNG seed", std::to_string(defaults.protocol_seed));
 }

@@ -65,49 +65,66 @@ void parallel_for_chunks(ThreadPool* pool, std::size_t count,
     return;
   }
 
+  // Everything the helpers share lives in one frame on the caller's
+  // stack, so each helper task captures a single pointer and
+  // std::function stores it inline: dispatch allocates nothing.
   struct Shared {
+    Shared(ChunkBody& chunk_body, std::size_t index_count, std::size_t chunks,
+           std::size_t helper_count)
+        : body(chunk_body),
+          count(index_count),
+          num_chunks(chunks),
+          helpers(helper_count) {}
+
+    ChunkBody& body;
+    std::size_t count;
+    std::size_t num_chunks;
+    std::size_t helpers;
     std::atomic<std::size_t> next_chunk{0};
     std::mutex mutex;
     std::condition_variable done;
     std::size_t tasks_finished = 0;
     std::exception_ptr error;
-  } shared;
 
-  auto drain = [&shared, &body, count, num_chunks] {
-    for (;;) {
-      const std::size_t c =
-          shared.next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) return;
-      const std::size_t begin = c * count / num_chunks;
-      const std::size_t end = (c + 1) * count / num_chunks;
-      try {
-        body(c, begin, end);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(shared.mutex);
-        if (!shared.error) shared.error = std::current_exception();
-        // Poison the counter so other threads stop picking up chunks.
-        shared.next_chunk.store(num_chunks, std::memory_order_relaxed);
-        return;
+    void drain() {
+      for (;;) {
+        const std::size_t c =
+            next_chunk.fetch_add(1, std::memory_order_relaxed);
+        if (c >= num_chunks) return;
+        const std::size_t begin = c * count / num_chunks;
+        const std::size_t end = (c + 1) * count / num_chunks;
+        try {
+          body(c, begin, end);
+        } catch (...) {
+          const std::lock_guard<std::mutex> lock(mutex);
+          if (!error) error = std::current_exception();
+          // Poison the counter so other threads stop picking up chunks.
+          next_chunk.store(num_chunks, std::memory_order_relaxed);
+          return;
+        }
       }
+    }
+
+    void help() {
+      drain();
+      const std::lock_guard<std::mutex> lock(mutex);
+      ++tasks_finished;
+      done.notify_one();
     }
   };
 
   // One helper task per worker (never more than there are chunks); the
   // caller drains alongside them and then waits for every helper to
   // retire, so `shared`/`body` stay alive until all tasks are done.
-  const std::size_t helpers = std::min(pool->num_threads(), num_chunks - 1);
-  for (std::size_t t = 0; t < helpers; ++t) {
-    pool->submit([&shared, drain] {
-      drain();
-      const std::lock_guard<std::mutex> lock(shared.mutex);
-      ++shared.tasks_finished;
-      shared.done.notify_one();
-    });
+  Shared shared(body, count, num_chunks,
+                std::min(pool->num_threads(), num_chunks - 1));
+  for (std::size_t t = 0; t < shared.helpers; ++t) {
+    pool->submit([s = &shared] { s->help(); });
   }
-  drain();
+  shared.drain();
   std::unique_lock<std::mutex> lock(shared.mutex);
-  shared.done.wait(lock,
-                   [&shared, helpers] { return shared.tasks_finished == helpers; });
+  shared.done.wait(
+      lock, [&shared] { return shared.tasks_finished == shared.helpers; });
   if (shared.error) std::rethrow_exception(shared.error);
 }
 

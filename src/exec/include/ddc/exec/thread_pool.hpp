@@ -10,7 +10,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -23,6 +22,11 @@ namespace ddc::exec {
 /// zero workers is valid and simply never runs anything — callers that
 /// also execute tasks themselves (parallel_for does) degrade to serial
 /// execution.
+///
+/// The queue is a ring of task slots sized in the constructor, and
+/// parallel_for's helper tasks fit std::function's inline buffer, so a
+/// parallel_for call allocates nothing. The ring doubles only when more
+/// tasks are pending than it holds.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (0 is allowed; see class comment).
@@ -43,7 +47,8 @@ class ThreadPool {
 
   /// Enqueues a task. Tasks must not throw — wrap bodies that can (the
   /// pool has no channel to surface an exception; parallel_for captures
-  /// them per-chunk instead).
+  /// them per-chunk instead). Allocates nothing unless the ring is full
+  /// or `task` is too large for std::function's inline buffer.
   void submit(std::function<void()> task);
 
   /// std::thread::hardware_concurrency with a floor of 1.
@@ -54,7 +59,11 @@ class ThreadPool {
 
   std::mutex mutex_;
   std::condition_variable ready_;
-  std::deque<std::function<void()>> queue_;
+  // FIFO ring: the pending tasks are ring_[(head_ + k) % ring_.size()]
+  // for k < pending_.
+  std::vector<std::function<void()>> ring_;
+  std::size_t head_ = 0;
+  std::size_t pending_ = 0;
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };

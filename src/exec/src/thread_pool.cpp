@@ -5,7 +5,10 @@
 
 namespace ddc::exec {
 
-ThreadPool::ThreadPool(std::size_t num_threads) {
+// parallel_for submits at most one helper per worker per call, so four
+// slots per worker leave room for several callers before the ring grows.
+ThreadPool::ThreadPool(std::size_t num_threads)
+    : ring_(std::max<std::size_t>(16, 4 * num_threads)) {
   workers_.reserve(num_threads);
   for (std::size_t t = 0; t < num_threads; ++t) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -16,7 +19,8 @@ ThreadPool::~ThreadPool() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
-    queue_.clear();
+    for (std::function<void()>& task : ring_) task = nullptr;
+    pending_ = 0;
   }
   ready_.notify_all();
   for (std::thread& worker : workers_) worker.join();
@@ -25,7 +29,17 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::submit(std::function<void()> task) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(task));
+    if (pending_ == ring_.size()) {
+      // Full: unroll the ring into one twice as large, oldest first.
+      std::vector<std::function<void()>> larger(2 * ring_.size());
+      for (std::size_t k = 0; k < pending_; ++k) {
+        larger[k] = std::move(ring_[(head_ + k) % ring_.size()]);
+      }
+      ring_ = std::move(larger);
+      head_ = 0;
+    }
+    ring_[(head_ + pending_) % ring_.size()] = std::move(task);
+    ++pending_;
   }
   ready_.notify_one();
 }
@@ -46,10 +60,11 @@ void ThreadPool::worker_loop() {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      ready_.wait(lock, [this] { return stopping_ || pending_ > 0; });
       if (stopping_) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      task = std::move(ring_[head_]);
+      head_ = (head_ + 1) % ring_.size();
+      --pending_;
     }
     task();
   }

@@ -188,7 +188,7 @@ class ShardEngine {
   // ddcverify: hotpath
   void begin_round() {
     DDC_EXPECTS(!round_open_);
-    plan_.plan(topology_);  // phase 1, global
+    plan_.plan(topology_, pool_.get());  // phase 1, global
     classify_boundary();
     prepare_nodes(boundary_js_);
     send_batches();  // only reads boundary nodes' payload_ rows

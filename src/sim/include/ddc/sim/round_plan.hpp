@@ -21,6 +21,21 @@
 // each receiver absorbs is therefore decided here once; the engines
 // differ only in storage, loss verdict and exchange.
 //
+// plan() runs on the engine's lanes and is bit-identical at any lane
+// count, because only the draws need an order. A uniform pick takes
+// three passes, and just the middle one touches the stream:
+//
+//   1. count each live node's eligible neighbors (parallel; skipped
+//      while every node is alive, when the count is the degree);
+//   2. draw uniform_index(count) for each node, in node order
+//      (sequential; the only pass that consumes the environment stream);
+//   3. resolve each draw to a neighbor id (parallel).
+//
+// Round-robin draws nothing and picks in one parallel pass. The message
+// table is built in parallel too: rows by per-block counts and a prefix
+// sum, each view by a two-step stable counting sort in which no two
+// lanes share a counter (see sort_view).
+//
 // The plan is a pure function of (topology, options, rounds so far), so a
 // ShardEngine on every shard replays it for all n nodes and every replica
 // stays in lockstep without communicating. Channel loss is deliberately
@@ -36,6 +51,7 @@
 #include <vector>
 
 #include <ddc/common/assert.hpp>
+#include <ddc/exec/thread_pool.hpp>
 #include <ddc/sim/gossip_node.hpp>
 #include <ddc/sim/neighbor_selection.hpp>
 #include <ddc/sim/topology.hpp>
@@ -59,7 +75,7 @@ struct RoundRunnerOptions : CommonRunnerOptions {
   /// stream derived independently of the selection/crash stream, so
   /// turning losses on does not reshuffle anyone's neighbor choices.
   double message_loss_probability = 0.0;
-  /// Worker threads for the prepare/absorb phases: 1 runs fully
+  /// Worker threads for the round's parallel phases: 1 runs fully
   /// sequentially (no pool is even created), 0 means one per hardware
   /// thread. Any value produces bit-identical results.
   std::size_t parallelism = 1;
@@ -84,18 +100,19 @@ struct PlannedMessage {
 };
 
 /// One engine's copy of the round environment (see the file comment).
-/// plan() and crash() run in the sequential phases; the accessors are
-/// safe to read from the parallel ones.
+/// plan() and crash() run between the engine's parallel phases; the
+/// accessors are safe to read from them.
 class RoundPlan {
  public:
   /// Environment of `num_nodes` nodes, all alive. Reads the selection,
   /// pattern, seed and crash fields of `options`.
   RoundPlan(std::size_t num_nodes, const RoundRunnerOptions& options);
 
-  /// Phase 1 — environment draws only. Picks every live node's target in
-  /// node order, then builds the round's message table. Consumes exactly
-  /// the selection draws, regardless of message contents.
-  void plan(const Topology& topology);
+  /// Phase 1 — environment draws only. Picks every live node's target,
+  /// then builds the round's message table, on `pool`'s lanes (null runs
+  /// it on the calling thread). Consumes exactly the selection draws, in
+  /// node order, regardless of message contents and lane count.
+  void plan(const Topology& topology, exec::ThreadPool* pool = nullptr);
 
   /// Phase 5 — end-of-round crash draws over all nodes, in node order.
   /// Returns the nodes that crashed this round, ascending; the span is
@@ -151,6 +168,12 @@ class RoundPlan {
     return alive_count_;
   }
 
+  /// The environment stream as it stands: replicas in lockstep hold
+  /// equal streams.
+  [[nodiscard]] const stats::Rng& environment_stream() const noexcept {
+    return env_rng_;
+  }
+
  private:
   static constexpr NodeId kNoTarget = static_cast<NodeId>(-1);
 
@@ -160,7 +183,27 @@ class RoundPlan {
     return std::span<const std::size_t>(rows).subspan(
         offsets[key], offsets[key + 1] - offsets[key]);
   }
-  void build_messages();
+  void pick_targets(const Topology& topology, exec::ThreadPool* pool);
+  void build_messages(exec::ThreadPool* pool);
+  void sort_view(exec::ThreadPool* pool, NodeId PlannedMessage::*group,
+                 std::vector<std::size_t>& offsets,
+                 std::vector<std::size_t>& view,
+                 std::vector<std::size_t>& staging);
+  void identity_view(exec::ThreadPool* pool, std::vector<std::size_t>& offsets,
+                     std::vector<std::size_t>& view);
+  void derive_outgoing(exec::ThreadPool* pool);
+
+  /// Whether initiator i sends a forward this round (push, push-pull).
+  [[nodiscard]] bool has_forward(NodeId i) const {
+    return pattern_ != GossipPattern::pull && targets_[i] != kNoTarget;
+  }
+  /// Whether initiator i gets a reply this round (pull, push-pull). A
+  /// crashed contact cannot answer (reachable only under
+  /// drop_at_crashed); the request simply vanishes.
+  [[nodiscard]] bool has_reply(NodeId i) const {
+    return pattern_ != GossipPattern::push && targets_[i] != kNoTarget &&
+           alive_[targets_[i]];
+  }
 
   std::size_t n_;
   GossipPattern pattern_;
@@ -171,9 +214,9 @@ class RoundPlan {
   std::size_t alive_count_;
   NeighborSelector selector_;
 
-  // The round's plan (sequential writes, parallel reads). Every buffer is
-  // sized in the constructor — at most 2n rows, n+1 offsets per view —
-  // so plan() never allocates.
+  // The round's plan. Every buffer is sized in the constructor — at most
+  // 2n rows, n+1 offsets per view, one sum per block — so plan() never
+  // allocates.
   std::vector<NodeId> targets_;
   std::vector<PlannedMessage> rows_;
   std::size_t num_rows_ = 0;
@@ -184,6 +227,16 @@ class RoundPlan {
   std::vector<std::size_t> out_rows_;
   std::vector<std::size_t> in_offsets_;
   std::vector<std::size_t> in_rows_;
+  // plan()'s parallel passes cover the nodes in a fixed number of
+  // contiguous blocks: block_rows_[b] is block b's first row, and
+  // block_out_[b] its first outgoing entry when derive_outgoing runs.
+  std::vector<std::size_t> block_rows_;
+  std::vector<std::size_t> block_out_;
+  // sort_view's buckets: group g lies in bucket g >> bucket_shift_, and
+  // buckets_ holds one row count per (bucket, row block), bucket-major.
+  std::size_t bucket_shift_;
+  std::size_t num_buckets_;
+  std::vector<std::size_t> buckets_;
   std::vector<NodeId> crashed_;
 };
 

@@ -8,7 +8,8 @@
 // each round every live node crashes independently with fixed probability.
 //
 // Execution model — a round is five phases:
-//   1. plan     (sequential)  environment draws: neighbor selection, and
+//   1. plan     (parallel)    environment draws: neighbor selection (one
+//                             sequential pass draws, in node order), and
 //                             the round's message table
 //   2. prepare  (parallel)    every sender splits once per outgoing row
 //   3. deliver  (sequential)  traces, loss draws, inbox fill, in node order
@@ -22,8 +23,9 @@
 // its own RNG stream), so they fan out across a thread pool when
 // `RoundRunnerOptions::parallelism > 1` — with results BIT-IDENTICAL to
 // `parallelism = 1`, because which thread runs a node never changes what
-// that node computes, and every environment draw stays on the sequential
-// phases. See DESIGN.md ("Parallel simulation engine") for the argument.
+// that node computes, and every environment draw is taken in a fixed
+// sequential order. See DESIGN.md ("Parallel simulation engine") for the
+// argument.
 #pragma once
 
 #include <chrono>
@@ -48,13 +50,27 @@ namespace ddc::sim {
 // RoundRunnerOptions is declared in round_plan.hpp: all three lockstep
 // engines take it.
 
-/// Accumulated wall-clock of the two parallel phases, measured once per
-/// round around the whole phase (two clock reads each — negligible next
-/// to the phase bodies). Feeds `ddcsim --timing`.
+/// Accumulated wall-clock of the round's phases up to absorb, measured
+/// once per round around each whole phase (two clock reads each —
+/// negligible next to the phase bodies). Feeds `ddcsim --timing`.
 struct RoundPhaseTimings {
+  double plan_seconds = 0.0;
   double prepare_seconds = 0.0;
+  double deliver_seconds = 0.0;
   double absorb_seconds = 0.0;
 };
+
+/// Runs `phase` and adds its wall-clock to `seconds`. The clock reads
+/// feed the timing counters only, never control flow, so a round's
+/// outcome stays a pure function of (options, seed).
+template <typename Phase>
+void timed_phase(double& seconds, Phase&& phase) {
+  const auto start = std::chrono::steady_clock::now();  // ddcverify: allow(wall-clock)
+  phase();
+  seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() -  // ddcverify: allow(wall-clock)
+                                           start)
+                 .count();
+}
 
 /// Drives one node object per topology vertex through synchronous gossip
 /// rounds. The runner owns the nodes; experiments inspect them between
@@ -84,22 +100,11 @@ class RoundRunner {
   /// pull, or push-pull); every live node then absorbs everything it
   /// received in a single batch; finally crash draws are applied.
   void run_round() {
-    plan_.plan(topology_);  // phase 1
-    // Audited timing probes: the clock reads feed only the phase
-    // counters reported by `ddcsim --timing`, never control flow, so
-    // the round's outcome stays a pure function of (options, seed).
-    const auto t_prepare = std::chrono::steady_clock::now();  // ddcverify: allow(wall-clock)
-    prepare_messages();
-    const auto t_deliver = std::chrono::steady_clock::now();  // ddcverify: allow(wall-clock)
-    timings_.prepare_seconds +=
-        std::chrono::duration<double>(t_deliver - t_prepare).count();
-    deliver_messages();
-    const auto t_absorb = std::chrono::steady_clock::now();  // ddcverify: allow(wall-clock)
-    absorb_inboxes();
-    timings_.absorb_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -  // ddcverify: allow(wall-clock)
-                                      t_absorb)
-            .count();
+    timed_phase(timings_.plan_seconds,
+                [&] { plan_.plan(topology_, pool_.get()); });
+    timed_phase(timings_.prepare_seconds, [&] { prepare_messages(); });
+    timed_phase(timings_.deliver_seconds, [&] { deliver_messages(); });
+    timed_phase(timings_.absorb_seconds, [&] { absorb_inboxes(); });
     for (const NodeId i : plan_.crash()) {  // phase 5
       trace(TraceEventType::crash, i, i, 0);
     }

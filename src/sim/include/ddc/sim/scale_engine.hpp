@@ -39,10 +39,12 @@
 // RoundPlan: its draws (phases 1 and 5) and its message table (the split,
 // delivery and absorb orders of 2–4):
 //
-//   1. plan     (sequential)  selection draws, message table
+//   1. plan     (parallel)    selection draws (counted, drawn in node
+//                             order, resolved), message table
 //   2. prepare  (parallel)    per node: one split per outgoing(j) row
-//   3. deliver  (sequential)  one delivered flag per row, loss draws in
-//                             row order
+//   3. deliver  (parallel)    one delivered flag per row; with loss
+//                             configured, sequential: loss draws in row
+//                             order
 //   4. absorb   (parallel)    per live receiver with a delivered slot in
 //                             incoming(i): one receive hook
 //   5. crash    (sequential)  end-of-round crash draws
@@ -74,7 +76,6 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -152,7 +153,7 @@ struct SoaRow {
 class SoaInbox {
  public:
   SoaInbox(const SoaPool& slots, std::span<const std::size_t> rows,
-           const std::vector<bool>& delivered)
+           const std::vector<std::uint8_t>& delivered)
       : slots_(slots), rows_(rows), delivered_(delivered) {}
 
   /// Calls `fn(SoaRowView)` once per delivered slot, in delivery order.
@@ -166,7 +167,7 @@ class SoaInbox {
  private:
   const SoaPool& slots_;
   std::span<const std::size_t> rows_;
-  const std::vector<bool>& delivered_;
+  const std::vector<std::uint8_t>& delivered_;
 };
 
 /// Appends `row`'s collections to `out`, in row order, unpacked through
@@ -213,7 +214,7 @@ class SoaRoundEngine {
         loss_rng_(stats::Rng::derive(options.seed, 0x4c4f5353ULL)),
         state_(n_, k_, sd_),
         slots_(2 * n_, k_, sd_),
-        delivered_(2 * n_, false),
+        delivered_(2 * n_, 0),
         pool_(exec::make_lane_pool(options_.parallelism)) {
     DDC_EXPECTS(n_ >= 2);
     DDC_EXPECTS(k_ >= 1);
@@ -237,21 +238,11 @@ class SoaRoundEngine {
   /// as RoundRunner<Node>::run_round.
   // ddcverify: hotpath
   void run_round() {
-    plan_.plan(topology_);  // phase 1
-    // Audited timing probes (as in RoundRunner): the clock reads feed the
-    // `--timing` counters only, never control flow.
-    const auto t_prepare = std::chrono::steady_clock::now();  // ddcverify: allow(wall-clock)
-    prepare_messages();
-    const auto t_deliver = std::chrono::steady_clock::now();  // ddcverify: allow(wall-clock)
-    timings_.prepare_seconds +=
-        std::chrono::duration<double>(t_deliver - t_prepare).count();
-    deliver_messages();
-    const auto t_absorb = std::chrono::steady_clock::now();  // ddcverify: allow(wall-clock)
-    absorb_inboxes();
-    timings_.absorb_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -  // ddcverify: allow(wall-clock)
-                                      t_absorb)
-            .count();
+    timed_phase(timings_.plan_seconds,
+                [&] { plan_.plan(topology_, pool_.get()); });
+    timed_phase(timings_.prepare_seconds, [&] { prepare_messages(); });
+    timed_phase(timings_.deliver_seconds, [&] { deliver_messages(); });
+    timed_phase(timings_.absorb_seconds, [&] { absorb_inboxes(); });
     plan_.crash();  // phase 5
     ++round_;
   }
@@ -362,15 +353,28 @@ class SoaRoundEngine {
     slots_.counts[r] = sent;
   }
 
-  /// Phase 3 — the wire, sequential in row (delivery) order: a non-empty
-  /// message to a live target takes one loss draw, exactly like
-  /// RoundRunner::transmit.
+  /// Phase 3 — the wire: a non-empty message to a live target is
+  /// delivered. With loss configured it also takes one loss draw,
+  /// exactly like RoundRunner::transmit (loss-free runs draw nothing),
+  /// so the verdicts run in row (delivery) order; without loss they are
+  /// a map over the rows.
   void deliver_messages() {
     const std::span<const PlannedMessage> rows = plan_.messages();
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      delivered_[r] =
-          slots_.counts[r] > 0 && plan_.alive(rows[r].to) && !channel_drops();
+    const auto reaches = [&](std::size_t r) {
+      return slots_.counts[r] > 0 && plan_.alive(rows[r].to);
+    };
+    const double loss = options_.message_loss_probability;
+    if (loss > 0.0) {
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        delivered_[r] = reaches(r) && !loss_rng_.bernoulli(loss);
+      }
+      return;
     }
+    exec::parallel_for_chunks(
+        pool_.get(), rows.size(),
+        [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
+          for (std::size_t r = begin; r < end; ++r) delivered_[r] = reaches(r);
+        });
   }
 
   /// Phase 4 — parallel batch absorption: every live receiver with at
@@ -391,13 +395,6 @@ class SoaRoundEngine {
                               SoaInbox(slots_, inbox, delivered_));
           }
         });
-  }
-
-  /// One loss draw per message (only when losses are configured, to keep
-  /// loss-free executions' randomness untouched).
-  [[nodiscard]] bool channel_drops() {
-    return options_.message_loss_probability > 0.0 &&
-           loss_rng_.bernoulli(options_.message_loss_probability);
   }
 
   /// The most message rows any node can receive in one round: a forward
@@ -423,9 +420,11 @@ class SoaRoundEngine {
   SoaPool state_;  // node i's state is row i
 
   // Message slot arena: slot r carries row r of plan_.messages(), and
-  // delivered_[r] is its phase-3 verdict.
+  // delivered_[r] is its phase-3 verdict — a byte, not a packed
+  // vector<bool> bit, so lanes writing neighbouring verdicts never share
+  // a memory location.
   SoaPool slots_;
-  std::vector<bool> delivered_;
+  std::vector<std::uint8_t> delivered_;
 
   // One receive workspace per parallel chunk; their timers accumulate
   // the work of every node they served (see partition_seconds()).

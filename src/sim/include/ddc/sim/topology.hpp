@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include <ddc/common/assert.hpp>
 #include <ddc/stats/rng.hpp>
 
 namespace ddc::sim {
@@ -84,7 +85,10 @@ class Topology {
 
   /// Out-neighbors of `i` — the nodes `i` may send to. O(1), a view into
   /// the CSR targets array; valid as long as the topology lives.
-  [[nodiscard]] std::span<const NodeId> neighbors(NodeId i) const;
+  [[nodiscard]] std::span<const NodeId> neighbors(NodeId i) const {
+    DDC_EXPECTS(i < num_nodes_);
+    return {targets_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+  }
 
   /// Out-degree of `i`.
   [[nodiscard]] std::size_t degree(NodeId i) const {

@@ -269,11 +269,6 @@ Topology Topology::erdos_renyi(std::size_t n, double p, stats::Rng& rng,
   throw ConfigError("erdos_renyi: no connected draw found; increase p");
 }
 
-std::span<const NodeId> Topology::neighbors(NodeId i) const {
-  DDC_EXPECTS(i < num_nodes_);
-  return {targets_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
-}
-
 bool Topology::has_edge(NodeId i, NodeId j) const {
   DDC_EXPECTS(i < num_nodes_ && j < num_nodes_);
   const auto nbrs = neighbors(i);

@@ -6,9 +6,12 @@
 // randomness.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
+
+#include <ddc/common/assert.hpp>
 
 namespace ddc::stats {
 
@@ -30,8 +33,12 @@ class Rng {
   /// Uniform double in [lo, hi). Requires lo < hi.
   [[nodiscard]] double uniform(double lo, double hi);
 
-  /// Uniform integer in [0, n). Requires n > 0.
-  [[nodiscard]] std::size_t uniform_index(std::size_t n);
+  /// Uniform integer in [0, n). Requires n > 0. Inline: RoundPlan's
+  /// selection draws call it once per node in their one sequential pass.
+  [[nodiscard]] std::size_t uniform_index(std::size_t n) {
+    DDC_EXPECTS(n > 0);
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(engine_);
+  }
 
   /// Standard normal sample.
   [[nodiscard]] double normal();

@@ -34,11 +34,6 @@ double Rng::uniform(double lo, double hi) {
   return std::uniform_real_distribution<double>(lo, hi)(engine_);
 }
 
-std::size_t Rng::uniform_index(std::size_t n) {
-  DDC_EXPECTS(n > 0);
-  return std::uniform_int_distribution<std::size_t>(0, n - 1)(engine_);
-}
-
 double Rng::normal() { return std::normal_distribution<double>(0.0, 1.0)(engine_); }
 
 double Rng::normal(double mean, double stddev) {

@@ -8,10 +8,10 @@
 //   * a steady-state round of the SoA centroid engine at 1 thread
 //     allocates nothing, for every pattern, with and without loss, at a
 //     fixed dimension and at the dynamic-dimension fallback;
-//   * at 4 threads the only allocations left are the pool's: each
-//     ThreadPool::submit wraps its task in a std::function, O(threads)
-//     per phase. So the count over a fixed number of rounds is the same
-//     at n = 2 000 and n = 20 000;
+//   * so does one at 4 threads, at n = 2 000 and n = 20 000: the pool
+//     queues its tasks in a ring sized up front, and parallel_for's
+//     helper tasks fit std::function's inline buffer, so dispatching the
+//     round's parallel phases allocates nothing either;
 //   * the GM engine's prepare phase (the packed split) allocates
 //     nothing: with every message lost there is no receive, so a whole
 //     round is plan, prepare and deliver.
@@ -176,10 +176,8 @@ TEST(AllocFreeRound, CentroidThreadedAllocationsIndependentOfNodeCount) {
     counts.push_back(
         round_allocations(engine, kWarmupRounds, kMeasuredRounds));
   }
-  EXPECT_EQ(counts[0], counts[1]);
-  // Two parallel phases, three helper tasks each: the pool's own
-  // std::function wrapping (plus the occasional task-queue block).
-  EXPECT_LE(counts[1], 2 * 3 * 2 * kMeasuredRounds);
+  EXPECT_EQ(counts[0], 0U);
+  EXPECT_EQ(counts[1], 0U);
 }
 
 TEST(AllocFreeRound, GmPrepareAllocatesNothing) {

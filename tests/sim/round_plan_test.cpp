@@ -1,13 +1,19 @@
 // RoundPlan's message table on its own: row order, the three views and
 // the membership rules, over {push, pull, push-pull} × {avoid_crashed,
-// drop_at_crashed with crashes} × seeds on a sparse ER graph and a ring.
+// drop_at_crashed with crashes} × seeds on a sparse ER graph and a ring;
+// and plan() on 1 to 4 lanes against a plain sequential planner.
 // The engine golden digests pin the same facts only indirectly.
 #include <ddc/sim/round_plan.hpp>
 
+#include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
+
+#include <ddc/exec/thread_pool.hpp>
 
 #include <gtest/gtest.h>
 
@@ -184,6 +190,176 @@ TEST(RoundPlan, RepliesNeverComeFromTheDeadButForwardsMayGoToThem) {
     }
   });
   EXPECT_GT(forwards_to_dead, 0u);
+}
+
+/// Everything one planned round exposes, copied out: the targets, the
+/// table, both views, the round's crashes and the environment stream's
+/// next draw after them.
+struct PlannedRound {
+  std::vector<std::optional<NodeId>> targets;
+  std::vector<std::tuple<NodeId, NodeId, MessageKind>> messages;
+  std::vector<std::vector<std::size_t>> outgoing;
+  std::vector<std::vector<std::size_t>> incoming;
+  std::vector<NodeId> crashed;
+  std::uint64_t next_draw = 0;
+
+  bool operator==(const PlannedRound&) const = default;
+};
+
+/// Plans `rounds` rounds of `options` on `lanes` lanes (1: no pool).
+std::vector<PlannedRound> plan_rounds(const Topology& topology,
+                                      const RoundRunnerOptions& options,
+                                      std::size_t lanes, std::size_t rounds) {
+  const std::unique_ptr<exec::ThreadPool> pool = exec::make_lane_pool(lanes);
+  const std::size_t n = topology.num_nodes();
+  RoundPlan plan(n, options);
+  std::vector<PlannedRound> out;
+  for (std::size_t round = 0; round < rounds; ++round) {
+    plan.plan(topology, pool.get());
+    PlannedRound p;
+    for (NodeId i = 0; i < n; ++i) {
+      p.targets.push_back(plan.target(i));
+      const auto o = plan.outgoing(i);
+      p.outgoing.emplace_back(o.begin(), o.end());
+      const auto in = plan.incoming(i);
+      p.incoming.emplace_back(in.begin(), in.end());
+    }
+    for (const PlannedMessage& m : plan.messages()) {
+      p.messages.emplace_back(m.from, m.to, m.kind);
+    }
+    const auto crashed = plan.crash();
+    p.crashed.assign(crashed.begin(), crashed.end());
+    stats::Rng stream = plan.environment_stream();
+    p.next_draw = stream.engine()();
+    out.push_back(std::move(p));
+  }
+  return out;
+}
+
+/// The same rounds by the plain sequential algorithm: every live node
+/// picks in node order from a live-neighbor list, rows are appended by
+/// initiator, and each view lists its rows in row order.
+std::vector<PlannedRound> reference_rounds(const Topology& topology,
+                                           const RoundRunnerOptions& options,
+                                           std::size_t rounds) {
+  const std::size_t n = topology.num_nodes();
+  stats::Rng stream = RoundPlan(n, options).environment_stream();
+  std::vector<bool> alive(n, true);
+  std::vector<std::size_t> cursor(n, 0);
+  const bool avoid =
+      options.crash_send_policy == CrashSendPolicy::avoid_crashed;
+  const auto pick = [&](NodeId i) -> std::optional<NodeId> {
+    const auto nbrs = topology.neighbors(i);
+    if (options.selection == NeighborSelection::round_robin) {
+      for (std::size_t step = 0; step < nbrs.size(); ++step) {
+        const NodeId t = nbrs[cursor[i] % nbrs.size()];
+        cursor[i] = (cursor[i] + 1) % nbrs.size();
+        if (!avoid || alive[t]) return t;
+      }
+      return std::nullopt;
+    }
+    std::vector<NodeId> live;
+    for (const NodeId t : nbrs) {
+      if (!avoid || alive[t]) live.push_back(t);
+    }
+    if (live.empty()) return std::nullopt;
+    return live[stream.uniform_index(live.size())];
+  };
+  std::vector<PlannedRound> out;
+  for (std::size_t round = 0; round < rounds; ++round) {
+    PlannedRound p;
+    p.outgoing.resize(n);
+    p.incoming.resize(n);
+    for (NodeId i = 0; i < n; ++i) {
+      p.targets.push_back(alive[i] ? pick(i) : std::nullopt);
+    }
+    const auto add = [&](NodeId from, NodeId to, MessageKind kind) {
+      p.outgoing[from].push_back(p.messages.size());
+      p.incoming[to].push_back(p.messages.size());
+      p.messages.emplace_back(from, to, kind);
+    };
+    for (NodeId i = 0; i < n; ++i) {
+      if (!p.targets[i]) continue;
+      const NodeId t = *p.targets[i];
+      if (options.pattern != GossipPattern::pull) {
+        add(i, t, MessageKind::forward);
+      }
+      if (options.pattern != GossipPattern::push && alive[t]) {
+        add(t, i, MessageKind::reply);
+      }
+    }
+    if (options.crash_probability > 0.0) {
+      for (NodeId i = 0; i < n; ++i) {
+        if (alive[i] && stream.bernoulli(options.crash_probability)) {
+          alive[i] = false;
+          p.crashed.push_back(i);
+        }
+      }
+    }
+    stats::Rng next = stream;
+    p.next_draw = next.engine()();
+    out.push_back(std::move(p));
+  }
+  return out;
+}
+
+/// {round_robin, uniform_random} × {push, pull, push-pull} ×
+/// {avoid_crashed, drop_at_crashed} × crash probability {0, 0.2}.
+std::vector<RoundRunnerOptions> lane_cases() {
+  std::vector<RoundRunnerOptions> cases;
+  for (const NeighborSelection selection :
+       {NeighborSelection::round_robin, NeighborSelection::uniform_random}) {
+    for (const GossipPattern pattern :
+         {GossipPattern::push, GossipPattern::pull, GossipPattern::push_pull}) {
+      for (const CrashSendPolicy policy :
+           {CrashSendPolicy::avoid_crashed, CrashSendPolicy::drop_at_crashed}) {
+        for (const double crash : {0.0, 0.2}) {
+          RoundRunnerOptions options;
+          options.selection = selection;
+          options.pattern = pattern;
+          options.crash_send_policy = policy;
+          options.crash_probability = crash;
+          options.seed = 11;
+          cases.push_back(options);
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+TEST(RoundPlan, AnyLaneCountPlansTheSequentialRounds) {
+  constexpr std::size_t kLaneRounds = 12;
+  // 40 nodes leave some of the plan's 64 node blocks empty; 300 fill
+  // them all and span several view buckets.
+  for (const std::size_t n : {40, 300}) {
+    stats::Rng graph_rng(n);
+    const Topology topology =
+        Topology::erdos_renyi(n, 6.0 / static_cast<double>(n), graph_rng);
+    for (const RoundRunnerOptions& options : lane_cases()) {
+      SCOPED_TRACE(
+          "n=" + std::to_string(n) +
+          " selection=" + std::to_string(static_cast<int>(options.selection)) +
+          " pattern=" + std::to_string(static_cast<int>(options.pattern)) +
+          " policy=" +
+          std::to_string(static_cast<int>(options.crash_send_policy)) +
+          " crash=" + std::to_string(options.crash_probability));
+      const std::vector<PlannedRound> reference =
+          reference_rounds(topology, options, kLaneRounds);
+      std::size_t crashes = 0;
+      for (const PlannedRound& p : reference) crashes += p.crashed.size();
+      EXPECT_EQ(crashes > 0, options.crash_probability > 0.0);
+      // One lane (no pool), then 2, 3 and 4 lanes.
+      for (const std::size_t lanes : {1, 2, 3, 4}) {
+        const std::vector<PlannedRound> rounds =
+            plan_rounds(topology, options, lanes, kLaneRounds);
+        for (std::size_t r = 0; r < kLaneRounds; ++r) {
+          EXPECT_TRUE(rounds[r] == reference[r])
+              << lanes << " lanes, round " << r;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -119,9 +119,14 @@ void report_classification(const ToolConfig& tool,
   }
 }
 
-void report_timing(double prepare_s, double absorb_s, double partition_s,
+/// One TIMING line: the round phases in phase order (wall-clock), then
+/// the partition and EM time summed over nodes.
+void report_timing(const ddc::sim::RoundPhaseTimings& t, double partition_s,
                    double em_s) {
-  std::cout << "\nTIMING prepare_s=" << prepare_s << " absorb_s=" << absorb_s
+  std::cout << "\nTIMING plan_s=" << t.plan_seconds
+            << " prepare_s=" << t.prepare_seconds
+            << " deliver_s=" << t.deliver_seconds
+            << " absorb_s=" << t.absorb_seconds
             << " partition_s=" << partition_s << " em_s=" << em_s << '\n';
 }
 
@@ -149,10 +154,10 @@ int run_classifier(const ToolConfig& tool, ddc::sim::RoundRunner<Node> runner,
                         print_summary, mean_of);
   if (tool.timing) {
     // Per-phase wall-clock, from the accumulating counters in the runner
-    // (prepare/absorb), the classifier engine (partition) and the EM
-    // policy (em; 0 for policies without an EM stage). partition_s and
-    // em_s are sums over nodes, so with --threads > 1 they can exceed
-    // the enclosing absorb_s wall-clock.
+    // (plan/prepare/deliver/absorb), the classifier engine (partition)
+    // and the EM policy (em; 0 for policies without an EM stage).
+    // partition_s and em_s are sums over nodes, so with --threads > 1
+    // they can exceed the enclosing absorb_s wall-clock.
     double partition_s = 0.0;
     double em_s = 0.0;
     for (const auto& node : runner.nodes()) {
@@ -163,8 +168,7 @@ int run_classifier(const ToolConfig& tool, ddc::sim::RoundRunner<Node> runner,
         em_s += node.classifier().partition_policy().em_seconds();
       }
     }
-    const auto& t = runner.timings();
-    report_timing(t.prepare_seconds, t.absorb_seconds, partition_s, em_s);
+    report_timing(runner.timings(), partition_s, em_s);
   }
   flush_trace(tool, trace);
   return 0;
@@ -193,11 +197,10 @@ int run_scale(const ToolConfig& tool, Engine engine,
                         mean_of);
   if (tool.timing) {
     // Same TIMING contract as RoundRunner: partition_s/em_s are
-    // sums over the engine's scratch classifiers, which accumulate
+    // sums over the engine's receive workspaces, which accumulate
     // exactly one receive per node per delivery.
-    const auto& t = engine.timings();
-    report_timing(t.prepare_seconds, t.absorb_seconds,
-                  engine.partition_seconds(), engine.em_seconds());
+    report_timing(engine.timings(), engine.partition_seconds(),
+                  engine.em_seconds());
   }
   return 0;
 }

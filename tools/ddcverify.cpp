@@ -297,10 +297,99 @@ const std::set<std::string, std::less<>>& keywords() {
 
 struct FunctionDef {
   std::string name;
+  std::string owner;           ///< enclosing class; empty for free functions
   std::size_t signature_line;  ///< 1-based line of the opening name
   std::size_t body_begin;      ///< joined offset just after '{'
   std::size_t body_end;        ///< joined offset of the matching '}'
+
+  /// `Class::fn` for members, `fn` for free functions (namespaces are
+  /// not tracked).
+  [[nodiscard]] std::string qualified() const {
+    return owner.empty() ? name : owner + "::" + name;
+  }
 };
+
+/// Offset of the '>' closing the template argument list that opens at
+/// `open` (a '<'), or npos when the text is no argument list (a
+/// comparison): a statement or block boundary, or an unbalanced ')',
+/// comes first.
+std::size_t skip_template_args(std::string_view text, std::size_t open) {
+  int angles = 0;
+  int parens = 0;
+  for (std::size_t i = open; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c == ';' || c == '{' || c == '}') return std::string_view::npos;
+    if (c == '(') ++parens;
+    if (c == ')' && --parens < 0) return std::string_view::npos;
+    if (parens > 0) continue;
+    if (c == '<') ++angles;
+    if (c == '>' && --angles == 0) return i;
+  }
+  return std::string_view::npos;
+}
+
+/// Offset just past the last non-space character before `i`.
+std::size_t skip_ws_back(std::string_view text, std::size_t i) {
+  while (i > 0 && std::isspace(static_cast<unsigned char>(text[i - 1])) != 0) {
+    --i;
+  }
+  return i;
+}
+
+/// The identifier qualifying the name at `name_at` (`Q::name` or
+/// `Q<...>::name`), or empty when the name is unqualified.
+std::string qualifier_before(std::string_view text, std::size_t name_at) {
+  std::size_t i = skip_ws_back(text, name_at);
+  if (i < 2 || text.compare(i - 2, 2, "::") != 0) return {};
+  i = skip_ws_back(text, i - 2);
+  if (i > 0 && text[i - 1] == '>') {  // Q<...>::name
+    int depth = 0;
+    while (i > 0) {
+      --i;
+      if (text[i] == '>') ++depth;
+      if (text[i] == '<' && --depth == 0) break;
+    }
+  }
+  std::size_t start = i;
+  while (start > 0 && ident_char(text[start - 1])) --start;
+  return std::string(text.substr(start, i - start));
+}
+
+/// A class, struct or union body: joined offsets of its braces.
+struct ClassScope {
+  std::string name;
+  std::size_t begin;
+  std::size_t end;
+};
+
+std::vector<ClassScope> find_classes(std::string_view text) {
+  std::vector<ClassScope> scopes;
+  for (const std::string_view keyword : {"class", "struct", "union"}) {
+    for (std::size_t pos = find_token(text, keyword);
+         pos != std::string_view::npos;
+         pos = find_token(text, keyword, pos + keyword.size())) {
+      const std::size_t before = skip_ws_back(text, pos);
+      if (before >= 4 && text.compare(before - 4, 4, "enum") == 0) continue;
+      std::size_t i = skip_ws(text, pos + keyword.size());
+      const std::string name = read_ident(text, i);
+      i = skip_ws(text, i + name.size());
+      if (read_ident(text, i) == "final") i = skip_ws(text, i + 5);
+      if (i < text.size() && text[i] == ':' &&
+          (i + 1 >= text.size() || text[i + 1] != ':')) {
+        i = text.find_first_of("{;", i);  // past the base clause
+      }
+      if (i >= text.size() || text[i] != '{') continue;  // not a definition
+      int depth = 0;
+      std::size_t end = i;
+      for (; end < text.size(); ++end) {
+        if (text[end] == '{') ++depth;
+        if (text[end] == '}' && --depth == 0) break;
+      }
+      scopes.push_back(ClassScope{name, i, end});
+    }
+  }
+  return scopes;
+}
 
 /// Scans forward from the ')' of a candidate signature; returns the
 /// offset of the body's '{' or npos when the construct is not a
@@ -370,6 +459,21 @@ std::size_t find_body_brace(std::string_view text, std::size_t i) {
 std::vector<FunctionDef> find_functions(const SourceFile& f) {
   std::vector<FunctionDef> defs;
   const std::string_view text = f.joined;
+  const std::vector<ClassScope> classes = find_classes(text);
+  // An out-of-line definition names its class; an inline one sits in
+  // the innermost class body around it.
+  const auto owner_of = [&](std::size_t name_at) {
+    std::string owner = qualifier_before(text, name_at);
+    if (!owner.empty()) return owner;
+    std::size_t innermost = 0;
+    for (const ClassScope& c : classes) {
+      if (c.begin < name_at && name_at < c.end && c.begin >= innermost) {
+        innermost = c.begin;
+        owner = c.name;
+      }
+    }
+    return owner;
+  };
   for (std::size_t i = 0; i < text.size();) {
     if (!ident_char(text[i])) {
       ++i;
@@ -399,7 +503,8 @@ std::vector<FunctionDef> find_functions(const SourceFile& f) {
       if (text[end] == '}' && --braces == 0) break;
     }
     if (end >= text.size()) break;
-    defs.push_back(FunctionDef{name, line_of(f, name_at), brace + 1, end});
+    defs.push_back(FunctionDef{name, owner_of(name_at), line_of(f, name_at),
+                               brace + 1, end});
     // Continue scanning INSIDE the body: nested definitions (local
     // structs) and the next member function both live past `brace`.
     i = brace + 1;
@@ -687,12 +792,15 @@ void scan_hot_path_alloc(const SourceFile& f, std::vector<Finding>& findings) {
   }
   if (marker_lines.empty()) return;
   const std::vector<FunctionDef> defs = find_functions(f);
-  std::map<std::string, const FunctionDef*> by_name;
-  for (const FunctionDef& d : defs) {
-    if (by_name.count(d.name) == 0) by_name[d.name] = &d;
-  }
-  std::map<std::string, std::string> root_of;  // reachable fn -> root name
+  // Calls resolve to definitions class by class (see `callees`), so a
+  // root never drags in a same-named function of another class.
+  std::multimap<std::string, const FunctionDef*> by_name;
+  for (const FunctionDef& d : defs) by_name.emplace(d.name, &d);
+  std::map<const FunctionDef*, std::string> root_of;  // reachable -> root
   std::vector<const FunctionDef*> queue;
+  const auto reach = [&](const FunctionDef* d, const std::string& root) {
+    if (root_of.emplace(d, root).second) queue.push_back(d);
+  };
   for (const std::size_t marker : marker_lines) {
     const FunctionDef* best = nullptr;
     for (const FunctionDef& d : defs) {
@@ -707,38 +815,65 @@ void scan_hot_path_alloc(const SourceFile& f, std::vector<Finding>& findings) {
              "(move the marker onto the root's doc comment)");
       continue;
     }
-    if (root_of.count(best->name) == 0) {
-      root_of[best->name] = best->name;
-      queue.push_back(best);
-    }
+    reach(best, best->qualified());
   }
-  // Same-file call-graph BFS from the roots.
+  // The definitions a call `name(` or `name<...>(` in the body of
+  // `caller` may reach: `Q::name` class Q's (or, Q being a namespace, the
+  // free function); `x.name` / `x->name` any class's; a bare `name` the
+  // caller's own class's, else the free function, else any class's.
   const std::string_view text = f.joined;
+  const auto callees = [&](const FunctionDef& caller, std::size_t at,
+                           const std::string& name) {
+    const std::string qualifier = qualifier_before(text, at);
+    const std::size_t before = skip_ws_back(text, at);
+    const bool member_access =
+        qualifier.empty() && before > 0 &&
+        (text[before - 1] == '.' ||
+         (before > 1 && text.compare(before - 2, 2, "->") == 0));
+    const std::string& cls = qualifier.empty() ? caller.owner : qualifier;
+    std::vector<const FunctionDef*> own;
+    std::vector<const FunctionDef*> free;
+    std::vector<const FunctionDef*> members;
+    for (auto [it, end] = by_name.equal_range(name); it != end; ++it) {
+      const FunctionDef* d = it->second;
+      if (d->owner.empty()) {
+        free.push_back(d);
+      } else {
+        members.push_back(d);
+        if (d->owner == cls) own.push_back(d);
+      }
+    }
+    if (member_access) return members;
+    if (!own.empty()) return own;
+    if (!free.empty() || !qualifier.empty()) return free;
+    return members;
+  };
   while (!queue.empty()) {
     const FunctionDef* fn = queue.back();
     queue.pop_back();
-    const std::string root = root_of[fn->name];
-    const std::string_view body =
-        text.substr(fn->body_begin, fn->body_end - fn->body_begin);
-    for (const auto& [callee, def] : by_name) {
-      if (root_of.count(callee) != 0) continue;
-      std::size_t pos = 0;
-      bool called = false;
-      while (!called &&
-             (pos = find_token(body, callee, pos)) != std::string_view::npos) {
-        const std::size_t after = skip_ws(body, pos + callee.size());
-        called = after < body.size() && body[after] == '(';
-        pos += callee.size();
+    const std::string root = root_of[fn];
+    for (std::size_t i = fn->body_begin; i < fn->body_end;) {
+      if (!ident_char(text[i]) || (i > 0 && ident_char(text[i - 1]))) {
+        ++i;
+        continue;
       }
-      if (called) {
-        root_of[callee] = root;
-        queue.push_back(def);
+      const std::string name = read_ident(text, i);
+      const std::size_t at = i;
+      i += name.size();
+      if (by_name.count(name) == 0) continue;
+      std::size_t after = skip_ws(text, i);
+      if (after < fn->body_end && text[after] == '<') {
+        const std::size_t close = skip_template_args(text, after);
+        if (close == std::string_view::npos) continue;
+        after = skip_ws(text, close + 1);
       }
+      if (after >= fn->body_end || text[after] != '(') continue;
+      for (const FunctionDef* d : callees(*fn, at, name)) reach(d, root);
     }
   }
   // Scan every reachable body, line by line.
   for (const FunctionDef& d : defs) {
-    const auto root_it = root_of.find(d.name);
+    const auto root_it = root_of.find(&d);
     if (root_it == root_of.end()) continue;
     const std::size_t first = line_of(f, d.body_begin);
     const std::size_t last = line_of(f, d.body_end);
@@ -1150,6 +1285,43 @@ int self_test() {
       "  double* p = new double[8];\n"
       "}\n",
       kHotPathRule, "allocation outside any hot path (benign)");
+  expect_fires(
+      "// ddcverify: hotpath\n"
+      "void receive(int x) {\n"
+      "  receive_rows<dims(x)>(x);\n"
+      "}\n"
+      "template <int D>\n"
+      "void receive_rows(int x) {\n"
+      "  std::vector<double> tmp(8);\n"
+      "}\n",
+      kHotPathRule, "allocation reached only through f<D>(...)");
+  expect_fires(
+      "// ddcverify: hotpath\n"
+      "void Engine::run() {\n"
+      "  step();\n"
+      "}\n"
+      "void Engine::step() {\n"
+      "  std::vector<double> tmp(8);\n"
+      "}\n"
+      "void Other::step() {}\n",
+      kHotPathRule, "allocation in the root's own out-of-line method");
+  expect_clean(
+      "struct Centroid {\n"
+      "  // ddcverify: hotpath\n"
+      "  void receive(int x) {\n"
+      "    merge(x);\n"
+      "  }\n"
+      "  void merge(int x) { scratch_.assign(x, 0.0); }\n"
+      "};\n"
+      "struct Gm {\n"
+      "  void receive(int x) {\n"
+      "    std::vector<double> tmp(x);\n"
+      "  }\n"
+      "  void merge(int x) {\n"
+      "    std::vector<double> tmp(x);\n"
+      "  }\n"
+      "};\n",
+      kHotPathRule, "same-named methods of another class (benign)");
 
   // --- simd-parity ----------------------------------------------------
   const auto simd_findings = [&](const std::string& dispatch_text,
