@@ -8,10 +8,11 @@
 //   * a steady-state round of the SoA centroid engine at 1 thread
 //     allocates nothing, for every pattern, with and without loss, at a
 //     fixed dimension and at the dynamic-dimension fallback;
-//   * so does one at 4 threads, at n = 2 000 and n = 20 000: the pool
-//     queues its tasks in a ring sized up front, and parallel_for's
-//     helper tasks fit std::function's inline buffer, so dispatching the
-//     round's parallel phases allocates nothing either;
+//   * so does one at 4 threads, at n = 2 000 and n = 20 000 and for
+//     every pattern with and without loss: the pool queues its tasks in
+//     a ring sized up front, and parallel_for's helper tasks fit
+//     std::function's inline buffer, so dispatching the round's
+//     parallel phases allocates nothing either;
 //   * the GM engine's prepare phase (the packed split) allocates
 //     nothing: with every message lost there is no receive, so a whole
 //     round is plan, prepare and deliver.
@@ -178,6 +179,26 @@ TEST(AllocFreeRound, CentroidThreadedAllocationsIndependentOfNodeCount) {
   }
   EXPECT_EQ(counts[0], 0U);
   EXPECT_EQ(counts[1], 0U);
+}
+
+TEST(AllocFreeRound, CentroidThreadedRoundAllocatesNothingForEveryPattern) {
+  constexpr std::size_t kNodes = 2000;
+  // Each pattern plans its views its own way (push: outgoing is the
+  // table; pull: outgoing sorted; push-pull: incoming sorted, outgoing
+  // derived), and loss switches deliver from a parallel map to the
+  // sequential loss draws.
+  for (const GossipPattern pattern :
+       {GossipPattern::push, GossipPattern::pull, GossipPattern::push_pull}) {
+    for (const double loss : {0.0, 0.1}) {
+      gossip::NetworkConfig net;
+      net.k = 2;
+      auto engine = gossip::make_centroid_scale_engine(
+          er_topology(kNodes, 3), bimodal_inputs(kNodes, 1, 5), net,
+          round_options(4, pattern, loss));
+      EXPECT_EQ(round_allocations(engine, kWarmupRounds, kMeasuredRounds), 0U)
+          << "pattern " << static_cast<int>(pattern) << " loss " << loss;
+    }
+  }
 }
 
 TEST(AllocFreeRound, GmPrepareAllocatesNothing) {
