@@ -85,11 +85,9 @@ void RoundPlan::plan(const Topology& topology, exec::ThreadPool* pool) {
 void RoundPlan::pick_targets(const Topology& topology,
                              exec::ThreadPool* pool) {
   const bool avoid = avoid_crashed_ && alive_count_ < n_;
-  if (pool == nullptr ||
-      selector_.selection() == NeighborSelection::round_robin) {
-    // One lane: the sequential loop, drawing in node order. Round-robin
-    // draws nothing — node i advances its own cursor only — so its picks
-    // run on the lanes.
+  if (selector_.selection() == NeighborSelection::round_robin) {
+    // Round-robin draws nothing — node i advances its own cursor only —
+    // so its picks run on the lanes in one pass.
     for_each_block(pool, n_, [&](std::size_t, NodeId begin, NodeId end) {
       for (NodeId i = begin; i < end; ++i) {
         if (!alive_[i]) {
