@@ -32,11 +32,11 @@
 //   3. resolve each draw to a neighbor id (parallel).
 //
 // Round-robin draws nothing and picks in one parallel pass; without a
-// pool, plan() is the plain sequential loop. The message table is built
-// in parallel too: rows by per-block counts and a prefix sum, one view
-// by a two-step stable counting sort in which no two lanes share a
-// counter (see sort_view), and the other as the row table itself or
-// derived from the sorted one (see build_messages).
+// pool, the same passes run in order on the calling thread. The message
+// table is built in parallel too: rows by per-block counts and a prefix
+// sum, one view by a two-step stable counting sort in which no two
+// lanes share a counter (see sort_view), and the other as the row table
+// itself or derived from the sorted one (see build_messages).
 //
 // The plan is a pure function of (topology, options, rounds so far), so a
 // ShardEngine on every shard replays it for all n nodes and every replica

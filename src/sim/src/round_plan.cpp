@@ -136,7 +136,12 @@ void RoundPlan::pick_targets(const Topology& topology,
 // parallel. Of the two views only one needs a sort: under push every
 // row is its initiator's forward, so outgoing is the table itself, and
 // under pull every row is the reply to its initiator, so incoming is.
-// Push-pull sorts incoming and derives outgoing from it.
+// Push-pull sorts incoming and derives outgoing from it. Sorting both
+// views with sort_view instead takes a third 2n staging array: measured
+// on a 4-core Xeon, peak RSS of the 4-shard 20k-node cluster rose from
+// 71.9 to 73.2 MiB (higher in 10 of 10 runs), and 100k-node centroid
+// plan time on 4 lanes went 2.2 -> 2.5 ms per round under push and
+// 6.1 -> 5.2 ms under push-pull with 2% crashes (medians of 10 runs).
 // ddcverify: hotpath
 void RoundPlan::build_messages(exec::ThreadPool* pool) {
   for_each_block(pool, n_, [&](std::size_t b, NodeId begin, NodeId end) {
